@@ -6,8 +6,8 @@ The cascade state drifts away from the no-avalanche reference (only the
 seed electron excited) at a fixed geometric rate: one factor of
 sqrt(1 - |eta|^2) per generation.  Against the all-ground register the
 overlap is exactly zero at every depth, because the seed electron never
-de-excites.  The structured recursion makes both overlaps O(n), so the
-decay can be followed to macroscopic electron counts.
+de-excites.  The structured engine's closed-form block overlaps make both
+overlaps O(n), so the decay can be followed to macroscopic electron counts.
 """
 
 import time
@@ -21,27 +21,27 @@ from sectorsim import (
 )
 
 # %%
-# Desk scale first: recursion vs dense inner products
-# ---------------------------------------------------
+# Desk scale first: structured engine vs dense inner products
+# -----------------------------------------------------------
 
 params = AvalancheParams(n_dopants=8, eta=0.6, n_max=3)
-print("n  M   recursion      dense          closed form 0.8^n")
+print("n  M   structured     dense          closed form 0.8^n")
 for n in range(4):
-    recursion = overlap_no_avalanche(params, n)
+    structured = overlap_no_avalanche(params, n)
     dense = dense_no_avalanche_overlap(params, n)
-    print(f"{n}  {1 << n:<3d} {recursion.real:<14.10f} {dense.real:<14.10f}"
+    print(f"{n}  {1 << n:<3d} {structured.real:<14.10f} {dense.real:<14.10f}"
           f" {0.8 ** n:<.10f}")
 
 print("\nground overlap stays pinned at zero:")
 for n in range(4):
-    print(f"  n={n}: recursion {overlap_ground(params, n)},"
+    print(f"  n={n}: structured {overlap_ground(params, n)},"
           f" dense {dense_ground_overlap(params, n)}")
 
 # %%
 # Macroscopic depth
 # -----------------
 # Thirty generations excite 2^30 (about a billion) electrons; the dense
-# vector would need 2^(2^30) amplitudes.  The recursion answers instantly.
+# vector would need 2^(2^30) amplitudes.  The closed form answers instantly.
 
 depth = 30
 big = AvalancheParams(n_dopants=1 << depth, eta=0.6, n_max=depth)

@@ -51,7 +51,7 @@ ETA_TOL = 1e-12
 
 def _check_eta(eta: complex) -> complex:
     eta = complex(eta)
-    if abs(eta) > 1.0 + ETA_TOL:
+    if not abs(eta) <= 1.0 + ETA_TOL:
         raise ValueError(f"collision amplitude needs |eta| <= 1, got |eta| = {abs(eta)}")
     return eta
 
@@ -136,14 +136,26 @@ def seeded_register(n_dopants: int, guard: int | None = None) -> DenseState:
     return basis_state((2,) * int(n_dopants), labels, guard)
 
 
+def apply_cascade(state: DenseState, eta: complex, n: int, offsets: tuple[int, ...]) -> DenseState:
+    """Run generations 1..n of the collision schedule on a dense state.
+
+    ``offsets`` holds the site index of each register's electron 0; every
+    collision pair fires in each register in ``offsets`` order before the
+    next pair.
+    """
+    for g in range(1, n + 1):
+        for exciter, partner in generation_pairs(g):
+            for offset in offsets:
+                state = apply_two_site_gate(
+                    state, scattering_gate(eta, offset + exciter, offset + partner)
+                )
+    return state
+
+
 def dense_avalanche(params: AvalancheParams, n: int, guard: int | None = None) -> DenseState:
     """State vector after n cascade generations from the seeded register."""
     n = _check_generation(params, n)
-    state = seeded_register(params.n_dopants, guard)
-    for g in range(1, n + 1):
-        for exciter, partner in generation_pairs(g):
-            state = apply_two_site_gate(state, scattering_gate(params.eta, exciter, partner))
-    return state
+    return apply_cascade(seeded_register(params.n_dopants, guard), params.eta, n, (0,))
 
 
 @dataclass(frozen=True)
@@ -241,32 +253,27 @@ def structured_amplitude(state: StructuredAvalancheState, labels) -> complex:
 
 
 def block_ground_overlap(level: int, eta: complex) -> complex:
-    """<all ground | Z_level> from the block recursion.
+    """<all ground | Z_level>, in closed form.
 
     Level 0 is the seed block, orthogonal to the ground state, so its
-    overlap is 0; that zero propagates through every higher level's
-    product term, leaving sqrt(1 - |eta|^2) for all levels >= 1.
+    overlap is 0.  Every higher block's product term contains that seed
+    factor, so only its all-ground term survives: sqrt(1 - |eta|^2) for
+    all levels >= 1.
     """
     level = int(level)
     if level < 0:
         raise ValueError(f"block level must be >= 0, got {level}")
     eta = _check_eta(eta)
-    s = _survival(eta)
-    overlaps: list[complex] = [0j]
-    for l in range(1, level + 1):
-        prod = 1.0 + 0j
-        for m in range(l):
-            prod *= overlaps[m]
-        overlaps.append(s + eta * prod)
-    return complex(overlaps[level])
+    return complex(_survival(eta)) if level else 0j
 
 
 def overlap_no_avalanche(params: AvalancheParams, n: int) -> complex:
     """<seed excited, all others ground | state_n>, evaluated in O(n).
 
     The seed block contributes 1 and each of the n higher blocks
-    contributes sqrt(1 - |eta|^2), so the closed form is
-    (1 - |eta|^2)**(n/2).  The dense engine reproduces this exponent.
+    contributes its closed-form ground overlap sqrt(1 - |eta|^2), so the
+    result is (1 - |eta|^2)**(n/2).  The dense engine reproduces this
+    exponent.
     """
     n = _check_generation(params, n)
     result = 1.0 + 0j

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .avalanche import (
 )
 from .hilbert import DimensionLimitError
 from .measurement import (
+    REFERENCES,
     MeasurementSetup,
     PhotonPolarisation,
     physical_scales,
@@ -61,7 +63,6 @@ KINDS = (
 )
 
 ENGINES = ("structured", "dense", "both")
-REFERENCES = ("ground", "no_avalanche")
 DISAGREEMENT_TOL = 1e-10
 
 
@@ -115,12 +116,10 @@ class ExperimentConfig:
         return complex(self.v_re, self.v_im)
 
 
-_INT_KEYS = {"A", "A_H", "A_V", "n_max", "N", "seed", "shots"}
-_FLOAT_KEYS = {
-    "eta_re", "eta_im", "delta_re", "delta_im",
-    "h_re", "h_im", "v_re", "v_im", "U", "Delta", "a",
+# int, float or str per settable key, read from the field annotations
+_KEY_TYPES = {
+    name: kind for name, kind in get_type_hints(ExperimentConfig).items() if name != "kind"
 }
-_STR_KEYS = {"engine", "reference", "output_path"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -146,17 +145,11 @@ def build_config(kind: str, pairs: dict[str, str]) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
     cfg = ExperimentConfig(kind=kind)
-    known = {f.name for f in fields(ExperimentConfig)} - {"kind"}
     for key, value in pairs.items():
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            setattr(cfg, key, _KEY_TYPES[key](value))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     if cfg.engine not in ENGINES:
@@ -174,10 +167,9 @@ def _nan() -> float:
     return float("nan")
 
 
-def _run_avalanche_sweep(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_avalanche_sweep(cfg: ExperimentConfig) -> list[dict]:
     params = AvalancheParams(cfg.A, cfg.eta, cfg.n_max)
     records = []
-    worst = 0.0
     for n in range(cfg.n_max + 1):
         if cfg.engine == "structured":
             ovl = overlap_no_avalanche(params, n)
@@ -191,14 +183,12 @@ def _run_avalanche_sweep(cfg: ExperimentConfig) -> tuple[list[dict], float]:
             "overlap_abs": abs(ovl),
         }
         if cfg.engine == "both":
-            diff = abs(ovl - overlap_no_avalanche(params, n))
-            row["abs_diff"] = diff
-            worst = max(worst, diff)
+            row["abs_diff"] = abs(ovl - overlap_no_avalanche(params, n))
         records.append(row)
-    return records, worst
+    return records
 
 
-def _run_measurement_sweep(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_measurement_sweep(cfg: ExperimentConfig) -> list[dict]:
     setup = MeasurementSetup(
         pol=PhotonPolarisation(cfg.h, cfg.v),
         delta=cfg.delta,
@@ -209,7 +199,6 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> tuple[list[dict], float]:
     )
     want_direct = cfg.engine in ("dense", "both")
     records = []
-    worst = 0.0
     for n in range(cfg.n_max + 1):
         rec = sector_parameter_expectation(
             setup, n, reference=cfg.reference, compute_direct=want_direct
@@ -229,18 +218,15 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> tuple[list[dict], float]:
             "limit": rec.limit,
             "abs_diff": diff,
         })
-        if cfg.engine == "both":
-            worst = max(worst, diff)
-    return records, worst
+    return records
 
 
-def _run_sector_commutator(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_sector_commutator(cfg: ExperimentConfig) -> list[dict]:
     if cfg.N < 2:
         raise ConfigError(f"sector-commutator needs N >= 2, got {cfg.N}")
     base = np.array([1.0, 0.0], dtype=np.complex128)
     other = np.array([cfg.h, cfg.v], dtype=np.complex128)
     records = []
-    worst = 0.0
     for n_sites in range(2, cfg.N + 1):
         family_a = ElementaryFamily(tuple(base for _ in range(n_sites)))
         family_b = ElementaryFamily(tuple(other for _ in range(n_sites)))
@@ -248,14 +234,12 @@ def _run_sector_commutator(cfg: ExperimentConfig) -> tuple[list[dict], float]:
         dense = commutator_norm(family_a, family_b, method="dense")
         row = {"N": n_sites, "analytic_norm": analytic, "dense_norm": dense}
         if cfg.engine == "both":
-            diff = abs(analytic - dense)
-            row["abs_diff"] = diff
-            worst = max(worst, diff)
+            row["abs_diff"] = abs(analytic - dense)
         records.append(row)
-    return records, worst
+    return records
 
 
-def _run_qnd_demo(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_qnd_demo(cfg: ExperimentConfig) -> list[dict]:
     pol = PhotonPolarisation(cfg.h, cfg.v)
     outcome = qnd_outcome(pol)
     counts = qnd_sample(pol, cfg.shots, cfg.seed)
@@ -267,10 +251,10 @@ def _run_qnd_demo(cfg: ExperimentConfig) -> tuple[list[dict], float]:
             "sample_frequency": counts[label] / cfg.shots,
             "shots": cfg.shots,
         })
-    return records, 0.0
+    return records
 
 
-def _run_scales(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_scales(cfg: ExperimentConfig) -> list[dict]:
     report = physical_scales(cfg.U, cfg.Delta, cfg.a, cfg.A)
     return [{
         "bias_voltage_v": cfg.U,
@@ -282,15 +266,14 @@ def _run_scales(cfg: ExperimentConfig) -> tuple[list[dict], float]:
         "generations": report.generations,
         "cascade_electrons": report.cascade_electrons,
         "work_ev": report.work_ev,
-    }], 0.0
+    }]
 
 
-def _run_oracle_check(cfg: ExperimentConfig) -> tuple[list[dict], float]:
+def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
     records = []
-    worst_fail = 0.0
 
     # cascade: structured amplitudes and overlaps against the dense engine
-    worst = 0.0
+    errors = []
     cases = 0
     for n_dopants in (4, 6, 8):
         for n in range(4):
@@ -302,17 +285,16 @@ def _run_oracle_check(cfg: ExperimentConfig) -> tuple[list[dict], float]:
                 st = structured_avalanche(params, n)
                 for idx in range(1 << n_dopants):
                     bits = [(idx >> k) & 1 for k in range(n_dopants)]
-                    worst = max(worst, abs(dense.amps[idx] - structured_amplitude(st, bits)))
+                    errors.append(abs(dense.amps[idx] - structured_amplitude(st, bits)))
                     cases += 1
-                worst = max(worst, abs(overlap_no_avalanche(params, n)
-                                       - dense_no_avalanche_overlap(params, n)))
-                worst = max(worst, abs(overlap_ground(params, n)
-                                       - dense_ground_overlap(params, n)))
-    records.append(_check_row("cascade_engines", cases, worst, 1e-12))
+                errors.append(abs(overlap_no_avalanche(params, n)
+                                  - dense_no_avalanche_overlap(params, n)))
+                errors.append(abs(overlap_ground(params, n) - dense_ground_overlap(params, n)))
+    records.append(_check_row("cascade_engines", cases, errors, 1e-12))
 
     # sector algebra against the dense operator
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
+    errors = []
     cases = 0
     for n_sites in range(2, 7):
         family = ElementaryFamily(tuple(_random_qubit(rng) for _ in range(n_sites)))
@@ -322,17 +304,17 @@ def _run_oracle_check(cfg: ExperimentConfig) -> tuple[list[dict], float]:
         state = ProductState(tuple(psi))
         op = dense_sector_operator(family)
         vec = dense_product_state(state.psi)
-        worst = max(worst, abs(sector_expectation(family, state)
-                               - float(np.real(np.vdot(vec, op @ vec)))))
-        worst = max(worst, float(np.max(np.abs(dense_action(sector_apply(family, state))
-                                               - op @ vec))))
+        errors.append(abs(sector_expectation(family, state)
+                          - float(np.real(np.vdot(vec, op @ vec)))))
+        errors.append(float(np.max(np.abs(dense_action(sector_apply(family, state))
+                                          - op @ vec))))
         defining = dense_product_state(family.phi)
-        worst = max(worst, float(np.max(np.abs(op @ defining - defining))))
+        errors.append(float(np.max(np.abs(op @ defining - defining))))
         cases += 1
-    records.append(_check_row("sector_algebra", cases, worst, 1e-12))
+    records.append(_check_row("sector_algebra", cases, errors, 1e-12))
 
     # commutator 1/N law, analytic against dense
-    worst = 0.0
+    errors = []
     t = 1.0 / math.sqrt(2.0)
     tilted = np.array([t, t], dtype=np.complex128)
     base = np.array([1.0, 0.0], dtype=np.complex128)
@@ -342,14 +324,14 @@ def _run_oracle_check(cfg: ExperimentConfig) -> tuple[list[dict], float]:
         family_b = ElementaryFamily(tuple(tilted for _ in range(n_sites)))
         dense = commutator_norm(family_a, family_b, method="dense")
         analytic = commutator_norm(family_a, family_b, method="analytic")
-        worst = max(worst, abs(dense - analytic))
+        errors.append(abs(dense - analytic))
         if reference_product is None:
             reference_product = dense * n_sites
-        worst = max(worst, abs(dense * n_sites - reference_product))
-    records.append(_check_row("commutator_decay", 4, worst, 1e-10))
+        errors.append(abs(dense * n_sites - reference_product))
+    records.append(_check_row("commutator_decay", 4, errors, 1e-10))
 
     # measurement: dense sandwich against the closed form (ground reference)
-    worst = 0.0
+    errors = []
     cases = 0
     for delta in (0.6, 1.0):
         for h_sq in (0.3, 1.0):
@@ -358,17 +340,19 @@ def _run_oracle_check(cfg: ExperimentConfig) -> tuple[list[dict], float]:
                                      n_dopants_h=4, n_dopants_v=4, n_max=2)
             for n in range(3):
                 rec = sector_parameter_expectation(setup, n, compute_direct=True)
-                worst = max(worst, abs(rec.expectation_direct - rec.expectation_formula))
+                errors.append(abs(rec.expectation_direct - rec.expectation_formula))
                 cases += 1
-    records.append(_check_row("measurement_pointer", cases, worst, 1e-10))
-
-    for row in records:
-        if row["status"] == "fail":
-            worst_fail = max(worst_fail, row["max_abs_error"])
-    return records, worst_fail
+    records.append(_check_row("measurement_pointer", cases, errors, 1e-10))
+    return records
 
 
-def _check_row(name: str, cases: int, worst: float, tol: float) -> dict:
+def _worst(errors: list[float]) -> float:
+    """Largest error, 0 for none; NaN if any is NaN, which max() would drop."""
+    return float(np.max(errors)) if errors else 0.0
+
+
+def _check_row(name: str, cases: int, errors: list[float], tol: float) -> dict:
+    worst = _worst(errors)
     return {
         "check": name,
         "cases": cases,
@@ -394,8 +378,15 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
-    """Produce the sweep's records and the worst engine disagreement."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Produce the sweep's records and the worst engine disagreement.
+
+    The disagreement is the largest ``abs_diff`` when ``engine`` is
+    ``both`` (NaN if any row's is NaN) and 0 otherwise.
+    """
+    records = _RUNNERS[cfg.kind](cfg)
+    if cfg.engine != "both":
+        return records, 0.0
+    return records, _worst([r["abs_diff"] for r in records if "abs_diff" in r])
 
 
 def _format_cell(value) -> str:
@@ -500,7 +491,7 @@ def main(argv=None) -> int:
     if cfg.kind == "oracle-check" and any(r["status"] == "fail" for r in records):
         print("engine disagreement: one or more oracle checks failed", file=sys.stderr)
         return 4
-    if cfg.engine == "both" and disagreement > DISAGREEMENT_TOL:
+    if not disagreement <= DISAGREEMENT_TOL:
         print(
             f"engine disagreement: max |difference| = {disagreement:.3e} "
             f"exceeds {DISAGREEMENT_TOL:.1e}",

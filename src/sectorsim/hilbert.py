@@ -110,7 +110,7 @@ class TwoSiteGate:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {mat.shape}")
         deviation = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if deviation > UNITARITY_TOL:
+        if not deviation <= UNITARITY_TOL:
             raise ValueError(f"gate matrix is not unitary (max deviation {deviation:.3e})")
         object.__setattr__(self, "sites", (i, j))
         object.__setattr__(self, "matrix", mat)

@@ -29,18 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avalanche import (
-    GROUND,
     AvalancheParams,
+    apply_cascade,
     dense_avalanche,
-    generation_pairs,
     ground_register,
     overlap_ground,
     overlap_no_avalanche,
-    scattering_gate,
 )
 from .hilbert import (
     DenseState,
-    apply_two_site_gate,
     basis_state,
     dimension_guard,
     inner_product,
@@ -68,7 +65,7 @@ class PhotonPolarisation:
         h = complex(self.h)
         v = complex(self.v)
         drift = abs(abs(h) ** 2 + abs(v) ** 2 - 1.0)
-        if drift > POLARISATION_NORM_TOL:
+        if not drift <= POLARISATION_NORM_TOL:
             raise ValueError(f"|h|^2 + |v|^2 must be 1, off by {drift:.3e}")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
@@ -87,7 +84,7 @@ class MeasurementSetup:
 
     def __post_init__(self):
         delta = complex(self.delta)
-        if abs(delta) > 1.0 + AMPLITUDE_BOUND_TOL:
+        if not abs(delta) <= 1.0 + AMPLITUDE_BOUND_TOL:
             raise ValueError(f"absorption amplitude needs |delta| <= 1, got {abs(delta)}")
         # reuse the register-side validation for eta / sizes / depth
         params_h = AvalancheParams(self.n_dopants_h, self.eta, self.n_max)
@@ -108,6 +105,13 @@ class MeasurementSetup:
         if port == "V":
             return AvalancheParams(self.n_dopants_v, self.eta, self.n_max)
         raise ValueError(f"port must be 'H' or 'V', got {port!r}")
+
+
+def _check_generation(setup: MeasurementSetup, n: int) -> int:
+    n = int(n)
+    if n < 0 or n > setup.n_max:
+        raise ValueError(f"generation {n} outside [0, n_max = {setup.n_max}]")
+    return n
 
 
 @dataclass(frozen=True)
@@ -180,21 +184,9 @@ def evolve(setup: MeasurementSetup, n: int, guard: int | None = None) -> DenseSt
     register holds no excited seed the gates act as the identity, so this
     equals seeding only the clicked register.
     """
-    n = int(n)
-    if n < 0 or n > setup.n_max:
-        raise ValueError(f"generation {n} outside [0, n_max = {setup.n_max}]")
+    n = _check_generation(setup, n)
     state = photoexcite(setup, initial_state(setup, guard))
-    h_offset = 1
-    v_offset = 1 + setup.n_dopants_h
-    for g in range(1, n + 1):
-        for exciter, partner in generation_pairs(g):
-            state = apply_two_site_gate(
-                state, scattering_gate(setup.eta, h_offset + exciter, h_offset + partner)
-            )
-            state = apply_two_site_gate(
-                state, scattering_gate(setup.eta, v_offset + exciter, v_offset + partner)
-            )
-    return state
+    return apply_cascade(state, setup.eta, n, offsets=(1, 1 + setup.n_dopants_h))
 
 
 def _pointer_ket(setup: MeasurementSetup, n: int, port: str, guard: int | None = None) -> DenseState:
@@ -227,9 +219,7 @@ def sector_parameter_expectation(
     dimension fits the guard; True forces it (raising if it cannot fit);
     False skips it, leaving only the O(n) structured evaluation.
     """
-    n = int(n)
-    if n < 0 or n > setup.n_max:
-        raise ValueError(f"generation {n} outside [0, n_max = {setup.n_max}]")
+    n = _check_generation(setup, n)
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
     if reference == "ground":
@@ -279,9 +269,7 @@ def density_terms(setup: MeasurementSetup, n: int, guard: int | None = None) -> 
     cascade state is orthogonal to the all-ground register, so all three
     cross families vanish identically.
     """
-    n = int(n)
-    if n < 0 or n > setup.n_max:
-        raise ValueError(f"generation {n} outside [0, n_max = {setup.n_max}]")
+    n = _check_generation(setup, n)
     pol = setup.pol
     delta = setup.delta
     keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))

@@ -39,11 +39,9 @@ def _checked_site_vectors(vectors, what: str) -> tuple[np.ndarray, ...]:
         arr = np.ascontiguousarray(vec, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"{what}[{idx}] must be a vector of dimension >= 2")
-        if abs(np.linalg.norm(arr) - 1.0) > STATE_NORM_TOL:
-            raise ValueError(
-                f"{what}[{idx}] must be normalized, |norm - 1| = "
-                f"{abs(np.linalg.norm(arr) - 1.0):.3e}"
-            )
+        drift = abs(np.linalg.norm(arr) - 1.0)
+        if not drift <= STATE_NORM_TOL:
+            raise ValueError(f"{what}[{idx}] must be normalized, |norm - 1| = {drift:.3e}")
         out.append(arr)
     if not out:
         raise ValueError(f"{what} needs at least one site")

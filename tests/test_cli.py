@@ -5,9 +5,12 @@ import json
 import math
 import shutil
 import subprocess
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
+from sectorsim import cli
 from sectorsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -73,6 +76,15 @@ class TestConfigParsing:
         assert cfg.eta == 0.3 + 0j
         assert cfg.seed == 7
         assert cfg.engine == "structured"
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in fields(ExperimentConfig) if f.name != "kind"]
+    )
+    def test_string_value_coerced_to_annotated_type(self, field):
+        default = getattr(ExperimentConfig(), field)
+        value = getattr(build_config("avalanche-sweep", {field: str(default)}), field)
+        assert type(value) is get_type_hints(ExperimentConfig)[field]
+        assert value == default
 
 
 class TestAvalancheSweep:
@@ -189,6 +201,14 @@ class TestOtherKinds:
         assert all(float(r["max_abs_error"]) <= float(r["tolerance"])
                    for r in rows)
 
+    def test_oracle_check_nan_error_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "structured_amplitude", lambda st, bits: complex("nan"))
+        code, out, err = run_cli(capsys, "oracle-check")
+        assert code == 4
+        status = {r["check"]: r["status"] for r in csv.DictReader(out.splitlines())}
+        assert status["cascade_engines"] == "fail"
+        assert "engine disagreement" in err
+
 
 class TestRendering:
     def test_csv_floats_round_trip_exactly(self, capsys):
@@ -279,6 +299,21 @@ class TestExitCodes:
         assert code == 4
         assert "engine disagreement" in err
         assert out.startswith("n,")  # records still emitted for inspection
+
+    def test_nan_disagreement_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "overlap_no_avalanche", lambda params, n: complex("nan"))
+        code, _, err = run_cli(capsys, "avalanche-sweep", "--set", "engine=both")
+        assert code == 4
+        assert "engine disagreement" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("avalanche-sweep", "--set", "eta_re=nan", "--set", "n_max=2"),
+        ("measurement-sweep", "--set", "delta_re=nan"),
+    ])
+    def test_nan_input_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "config error" in err
 
     def test_unwritable_output_exits_5(self, capsys, tmp_path):
         target = str(tmp_path / "missing_dir" / "out.csv")
