@@ -69,9 +69,9 @@ for flat, weight in sorted(support, key=lambda kv: -kv[1])[:6]:
 # The structured form
 # -------------------
 # The same state factorises over blocks: the seed block holds electron 0,
-# and each later level holds the electrons first touched at that
-# generation.  Block membership follows a parity rule - electron e > 0
-# joins level n - (number of trailing zero bits of e).
+# and level l holds the subtree of the seed's partner 2^(n-l).  Descendants
+# only add higher bits, so block membership follows the trailing-zero rule:
+# electron e > 0 joins level n - (number of trailing zero bits of e).
 
 structured = structured_avalanche(params, 3)
 for level, members in enumerate(structured.partition.levels):

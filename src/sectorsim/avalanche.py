@@ -22,16 +22,28 @@ dynamics never exercise the completed columns because every collision
 partner starts in the ground state.
 
 Besides the dense state-vector engine there is an exact factorised
-engine: after n generations the register state splits into entangled
-blocks Z_0 .. Z_n plus an untouched remainder,
+engine built on one rule: electron j > 0 was excited by j with its top
+bit cleared, at the generation that bit names.  A label is settled by
+the collision that makes its electron a partner and never changes after,
+so the amplitude of a configuration is a product of one factor per
+(exciter, partner) edge,
 
-    Z_0(i)     = |excited_i>
-    Z_l(slots) = sqrt(1-|eta|^2) * |all ground>
-                 + eta * Z_0 (x) Z_1 (x) ... (x) Z_{l-1}   (slots split
-                   positionally: 1, 1, 2, 4, ..., 2**(l-2) slots each)
+    [[1, 0], [sqrt(1-|eta|^2), eta]][exciter bit][partner bit],
 
-which gives O(n) evaluation of the cascade/no-cascade overlap
-|<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).
+for an excited seed, and 0 otherwise.  Descendants only add higher bits,
+so electron j > 0 lies in the subtree of the seed's partner
+2**trailing_zeros(j); that subtree is block Z_l with
+l = n - trailing_zeros(j).  Electrons at and beyond 2**n form an
+untouched remainder.  Each block is
+
+    Z_0 = |excited seed>
+    Z_l = sqrt(1-|eta|^2) * |all ground> + eta * Z_0 (x) Z_1 (x) ... (x) Z_{l-1}
+
+where, inside Z_l, Z_0 is the subtree's root and Z_1 .. Z_{l-1} are the
+subtrees of its partners, latest first.  This gives the cascade/no-cascade
+overlap in closed form,
+|<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).  The partition and
+an amplitude cost O(2**n); the overlaps cost O(n).
 """
 
 from __future__ import annotations
@@ -180,76 +192,59 @@ class StructuredAvalancheState:
     partition: ZBlockPartition
 
 
-def _canonical_levels(n: int) -> list[np.ndarray]:
-    """Per-block electron indices in construction (slot) order.
-
-    Slot order matters for amplitude evaluation: block Z_l splits
-    positionally into sub-blocks Z_0 | Z_1 | ... | Z_{l-1}.  Each
-    generation with offset d sends block Z_l with slots (o_1, ..., o_m)
-    to Z_{l+1} with slots (o_1, o_1+d, o_2, o_2+d, ...), while the seed
-    block Z_0 spawns a fresh Z_1 at its partner index.
-    """
-    levels = [np.zeros(1, dtype=np.int64)]
-    for g in range(1, n + 1):
-        d = 1 << (g - 1)
-        new = [levels[0], np.array([d], dtype=np.int64)]
-        for old in levels[1:]:
-            inter = np.empty(2 * old.size, dtype=np.int64)
-            inter[0::2] = old
-            inter[1::2] = old + d
-            new.append(inter)
-        levels = new
-    return levels
-
-
 def structured_avalanche(params: AvalancheParams, n: int) -> StructuredAvalancheState:
-    """Factorised representation of the cascade after n generations."""
+    """Factorised representation of the cascade after n generations.
+
+    Level l >= 1 holds the electrons with exactly n - l trailing zero bits.
+    """
     n = _check_generation(params, n)
-    levels = tuple(tuple(sorted(lv.tolist())) for lv in _canonical_levels(n))
+    size = 1 << n
+    levels = ((0,),) + tuple(
+        tuple(range(size >> l, size, size >> (l - 1))) for l in range(1, n + 1)
+    )
     partition = ZBlockPartition(
         generation=n,
         levels=levels,
-        remainder=range(1 << n, params.n_dopants),
+        remainder=range(size, params.n_dopants),
     )
     return StructuredAvalancheState(params=params, generation=n, partition=partition)
 
 
-def _z_amplitude(level: int, slots: np.ndarray, bits, s: float, eta: complex) -> complex:
-    if level == 0:
-        return 1.0 + 0j if bits[slots[0]] else 0j
-    value = complex(s) if not any(bits[q] for q in slots) else 0j
-    prod = _z_amplitude(0, slots[0:1], bits, s, eta)
-    for m in range(1, level):
-        if prod == 0:
-            break
-        prod *= _z_amplitude(m, slots[1 << (m - 1) : 1 << m], bits, s, eta)
-    return value + eta * prod
+def structured_amplitude(state: StructuredAvalancheState, labels):
+    """Amplitude of full-register basis configurations, no dense vector.
 
+    ``labels`` holds one 0/1 entry per dopant electron, shape ``(A,)`` for
+    one configuration (returns a complex) or ``(B, A)`` for a batch
+    (returns B amplitudes).  Exact for every configuration: agrees with
+    the dense engine amplitude by amplitude.
 
-def structured_amplitude(state: StructuredAvalancheState, labels) -> complex:
-    """Amplitude of a full-register basis configuration, no dense vector.
-
-    ``labels`` holds one 0/1 entry per dopant electron.  Exact for every
-    configuration: agrees with the dense engine amplitude by amplitude.
+    Generations n, n-1, ..., 1 fold each partner's subtree into its
+    exciter, latest first, so every exciter multiplies in its children in
+    the order the Z-block recursion does.  Each edge contributes
+    ``[[1, 0], [sqrt(1-|eta|^2), eta]][exciter bit][partner bit]``.
     """
     params = state.params
-    bits = np.asarray(labels, dtype=np.int64)
-    if bits.shape != (params.n_dopants,):
+    bits = np.asarray(labels)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != params.n_dopants:
         raise ValueError(
-            f"need {params.n_dopants} electron labels, got shape {bits.shape}"
+            f"need {params.n_dopants} electron labels per row, got shape {bits.shape}"
         )
-    if np.any((bits != 0) & (bits != 1)):
+    if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("electron labels must be 0 (ground) or 1 (excited)")
+    batch = bits.reshape(-1, params.n_dopants).astype(np.uint8, copy=False)
     n = state.generation
-    if np.any(bits[1 << n :]):
-        return 0j
-    s = _survival(params.eta)
-    amp = 1.0 + 0j
-    for level, slots in enumerate(_canonical_levels(n)):
-        amp *= _z_amplitude(level, slots, bits, s, params.eta)
-        if amp == 0:
-            break
-    return complex(amp)
+    table = np.array([1.0, 0.0, _survival(params.eta), params.eta], dtype=np.complex128)
+    # acc[:, j]: product of the subtrees folded into electron j so far.  A
+    # flat left-to-right product would round, and underflow, differently.
+    acc = np.broadcast_to(np.complex128(1.0), (len(batch), 1 << n))
+    for g in range(n, 0, -1):
+        lo = 1 << (g - 1)
+        edge = table[2 * batch[:, :lo] + batch[:, lo : 2 * lo]]
+        edge *= acc[:, lo:]
+        acc = np.multiply(acc[:, :lo], edge, out=edge)  # electrons [0, lo) remain
+    seeded = (batch[:, 0] == 1) & ~batch[:, 1 << n :].any(axis=1)
+    amps = np.where(seeded, acc[:, 0], 0j)
+    return complex(amps[0]) if bits.ndim == 1 else amps
 
 
 def block_ground_overlap(level: int, eta: complex) -> complex:

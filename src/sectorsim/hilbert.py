@@ -119,6 +119,9 @@ class TwoSiteGate:
 def flat_index(dims, labels) -> int:
     """Flat position of a basis assignment, site 0 fastest-varying."""
     dims = tuple(int(d) for d in dims)
+    labels = tuple(labels)
+    if not all(float(b).is_integer() for b in labels):
+        raise ValueError(f"labels must be integers, got {labels}")
     labels = tuple(int(b) for b in labels)
     if len(labels) != len(dims):
         raise ValueError(f"{len(dims)} sites but {len(labels)} labels")

@@ -178,6 +178,24 @@ class TestStructuredAmplitude:
             bits = [(idx >> k) & 1 for k in range(n_dopants)]
             assert abs(dense.amps[idx] - structured_amplitude(st, bits)) <= 1e-12
 
+    @pytest.mark.parametrize("eta", ETA_GRID)
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_batch_matches_dense(self, eta, n):
+        n_dopants = 16
+        params = AvalancheParams(n_dopants, eta, n)
+        dense = dense_avalanche(params, n)
+        st = structured_avalanche(params, n)
+        labels = (np.arange(1 << n_dopants)[:, None] >> np.arange(n_dopants)) & 1
+        batch = structured_amplitude(st, labels)
+        assert batch.shape == (1 << n_dopants,)
+        assert np.max(np.abs(batch - dense.amps)) <= 1e-12
+        # single-row calls: the whole support plus every 64th configuration
+        rows = np.union1d(np.flatnonzero(dense.amps), np.arange(0, 1 << n_dopants, 64))
+        for idx in rows:
+            single = structured_amplitude(st, labels[idx])
+            assert isinstance(single, complex)
+            assert abs(single - batch[idx]) <= 1e-15 * abs(batch[idx])
+
     def test_label_validation(self):
         st = structured_avalanche(AvalancheParams(4, 0.6, 1), 1)
         with pytest.raises(ValueError):

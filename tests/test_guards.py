@@ -1,4 +1,5 @@
-"""Input guards fail closed: a NaN in any number a constructor checks is rejected."""
+"""Input guards fail closed: a NaN in any number a constructor checks is
+rejected, and so is a non-integral basis label."""
 
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorsim.avalanche import AvalancheParams
-from sectorsim.hilbert import TwoSiteGate
+from sectorsim.avalanche import AvalancheParams, structured_amplitude, structured_avalanche
+from sectorsim.hilbert import TwoSiteGate, flat_index
 from sectorsim.measurement import MeasurementSetup, PhotonPolarisation
 from sectorsim.sector import ElementaryFamily, ProductState
 
@@ -49,3 +50,24 @@ def test_nan_in_any_component_is_rejected(name, data):
         z[k] = complex(z[k].real, nan)
     with pytest.raises(ValueError):
         build(z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_non_integral_label_is_rejected(data):
+    n = data.draw(st.integers(min_value=0, max_value=2))
+    n_dopants = data.draw(st.integers(min_value=1 << n, max_value=6))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n_dopants, max_size=n_dopants))
+    k = data.draw(st.integers(min_value=0, max_value=n_dopants - 1))
+    bad = data.draw(st.floats().filter(lambda x: not x.is_integer()))
+    row = np.array(labels, dtype=np.float64)
+    row[k] = bad
+    with pytest.raises(ValueError, match="integers"):
+        flat_index((2,) * n_dopants, row.tolist())
+    state = structured_avalanche(AvalancheParams(n_dopants, 0.6, n), n)
+    with pytest.raises(ValueError, match="0 \\(ground\\) or 1"):
+        structured_amplitude(state, row)
+    batch = np.zeros((3, n_dopants))
+    batch[data.draw(st.integers(min_value=0, max_value=2))] = row
+    with pytest.raises(ValueError, match="0 \\(ground\\) or 1"):
+        structured_amplitude(state, batch)
