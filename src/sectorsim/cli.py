@@ -149,9 +149,12 @@ def build_config(kind: str, pairs: dict[str, str]) -> ExperimentConfig:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, key, _KEY_TYPES[key](value))
+            typed = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+        if isinstance(typed, float) and not math.isfinite(typed):
+            raise ConfigError(f"{key!r} must be finite, got {value!r}")
+        setattr(cfg, key, typed)
     if cfg.engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
     if cfg.reference not in REFERENCES:

@@ -9,6 +9,9 @@ Conventions used throughout the package:
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
   unitary to within ``UNITARITY_TOL``.
+* Gates are applied out of place, as one copy of the state plus strided
+  updates of the blocks their non-identity rows write; the input state is
+  never written.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default, overridable through the ``SECTORSIM_DIM_GUARD`` environment
@@ -169,8 +172,33 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
             f"gate matrix is {gate.matrix.shape[0]}x{gate.matrix.shape[0]}, "
             f"target sites have dimensions {di}x{dj}"
         )
-    arr = state.amps.reshape(state.dims, order="F")
-    g4 = gate.matrix.reshape((di, dj, di, dj), order="F")
-    out = np.tensordot(g4, arr, axes=([2, 3], [i, j]))
-    out = np.moveaxis(out, (0, 1), (i, j))
-    return DenseState(state.dims, out.reshape(-1, order="F"))
+    # C-order view (above hi, d_hi, between, d_lo, below lo), lo < hi
+    lo, hi = sorted((i, j))
+    dims = state.dims
+    shape = (math.prod(dims[hi + 1:]), dims[hi], math.prod(dims[lo + 1:hi]),
+             dims[lo], math.prod(dims[:lo]))
+    # site i's axis first, then site j's
+    axes = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
+
+    def blocks(amps):
+        """Strided views of ``amps``, one per pair label k = b_i + d_i*b_j."""
+        view = amps.reshape(shape).transpose(axes)
+        return [view[k % di, k // di] for k in range(di * dj)]
+
+    out = state.amps.copy()
+    src, dst = blocks(state.amps), blocks(out)
+    tmp = np.empty_like(dst[0])
+    for r, row in enumerate(gate.matrix.tolist()):
+        terms = [(k, c) for k, c in enumerate(row) if c]
+        if terms == [(r, 1)]:
+            continue
+        (k, c), *rest = terms
+        np.multiply(src[k], c, out=dst[r])
+        if not rest:
+            # +0 turns the -0 a lone negative coefficient makes of a zero
+            # (a collision at eta = +-1) back into +0, which records print
+            np.add(dst[r], 0.0, out=dst[r])
+        for k, c in rest:
+            np.multiply(src[k], c, out=tmp)
+            np.add(dst[r], tmp, out=dst[r])
+    return DenseState(dims, out)

@@ -24,7 +24,7 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .avalanche import (
 )
 from .hilbert import (
     DenseState,
+    DimensionLimitError,
     basis_state,
     dimension_guard,
     inner_product,
@@ -334,6 +335,9 @@ def qnd_sample(pol: PhotonPolarisation, shots: int, seed: int) -> dict[str, int]
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
+    limit = dimension_guard()
+    if shots > limit:
+        raise DimensionLimitError(f"{shots} shots draw {shots} numbers, guard is {limit}")
     rng = np.random.default_rng(seed)
     n_h = int(np.count_nonzero(rng.random(shots) < abs(pol.h) ** 2))
     return {"H": n_h, "V": shots - n_h}
@@ -365,15 +369,21 @@ def physical_scales(bias_voltage_v: float, gap_energy_ev: float, lattice_m: floa
     gap = float(gap_energy_ev)
     lattice = float(lattice_m)
     n_dopants = int(n_dopants)
-    if bias <= 0 or gap <= 0 or lattice <= 0 or n_dopants < 1:
-        raise ValueError("bias, gap, lattice constant must be positive and n_dopants >= 1")
+    if not all(0 < x < math.inf for x in (bias, gap, lattice)) or n_dopants < 1:
+        raise ValueError(
+            "bias, gap, lattice constant must be finite and positive and n_dopants >= 1"
+        )
     l_over_a = gap / bias
     generations = bias / gap
-    cascade = 2.0 ** generations
-    return ScaleReport(
+    # 2.0 ** g raises OverflowError from g = 1024 on
+    cascade = 2.0 ** generations if generations < 1024 else math.inf
+    report = ScaleReport(
         l_over_a=l_over_a,
         mean_free_path_m=lattice * l_over_a,
         generations=generations,
         cascade_electrons=cascade,
         work_ev=gap * min(float(n_dopants), cascade),
     )
+    if not all(map(math.isfinite, astuple(report))):
+        raise ValueError(f"a scale overflows double precision: {report}")
+    return report

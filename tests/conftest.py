@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# collision amplitudes: zero, real, a unit-modulus complex point, full transfer
+UNIT_PHASE = (0.6 + 0.2j) / abs(0.6 + 0.2j)
+ETA_GRID = (0.0, 0.3, UNIT_PHASE, 1.0)
+
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase correction."""

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import ETA_GRID, UNIT_PHASE
 from sectorsim.avalanche import (
     AvalancheParams,
     block_ground_overlap,
@@ -21,10 +22,6 @@ from sectorsim.avalanche import (
     structured_avalanche,
 )
 from sectorsim.hilbert import flat_index
-
-# unit-modulus complex point for boundary coverage
-UNIT_PHASE = (0.6 + 0.2j) / abs(0.6 + 0.2j)
-ETA_GRID = (0.0, 0.3, UNIT_PHASE, 1.0)
 
 
 def survival(eta):
@@ -132,6 +129,13 @@ class TestDenseAvalanche:
         params = AvalancheParams(8, eta, 3)
         for n in range(4):
             assert abs(dense_avalanche(params, n).norm() - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("eta", [1.0, -1.0])
+    def test_full_transfer_leaves_no_negative_zero(self, eta):
+        # a collision at |eta| = 1 has one term per moving row; a -0 there
+        # would print as "-0" in an avalanche-sweep record
+        parts = dense_avalanche(AvalancheParams(8, eta, 3), 3).amps.view(np.float64)
+        assert not np.any(np.signbit(parts[parts == 0]))
 
 
 class TestZBlockPartition:

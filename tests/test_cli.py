@@ -1,6 +1,8 @@
 """Command-line driver: config parsing, rendering, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import shutil
@@ -9,6 +11,8 @@ from dataclasses import fields
 from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorsim import cli
 from sectorsim.cli import (
@@ -315,6 +319,21 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    def test_qnd_shots_over_guard_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("SECTORSIM_DIM_GUARD", "1024")
+        code, _, err = run_cli(capsys, "qnd-demo", "--set", "shots=1025")
+        assert code == 3
+        assert "dimension guard" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--set", "U=1e10"),
+        ("--set", "U=1e-300", "--set", "Delta=1e300", "--set", "a=1e300"),
+    ])
+    def test_overflowing_scale_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, "scales", "--format", "json", *argv)
+        assert code == 2
+        assert "config error" in err
+
     def test_unwritable_output_exits_5(self, capsys, tmp_path):
         target = str(tmp_path / "missing_dir" / "out.csv")
         code, _, err = run_cli(capsys, "avalanche-sweep", "--out", target)
@@ -324,6 +343,30 @@ class TestExitCodes:
     def test_bad_set_syntax_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "avalanche-sweep", "--set", "eta_re")
         assert code == 2
+
+
+FLOAT_KEYS = sorted(k for k, kind in get_type_hints(ExperimentConfig).items() if kind is float)
+NON_FINITE = {
+    "nan": ["nan", "NaN", "-nan", "+NAN"],
+    "inf": ["inf", "+inf", "Infinity", "INF"],
+    "-inf": ["-inf", "-Infinity", "-INF"],
+}
+
+
+@pytest.mark.parametrize("value", sorted(NON_FINITE))
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_non_finite_float_exits_2(key, value, data):
+    spelling = data.draw(st.sampled_from(NON_FINITE[value]), label="spelling")
+    kind = data.draw(st.sampled_from(cli.KINDS), label="kind")
+    fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([kind, "--set", f"{key}={spelling}", "--format", fmt])
+    assert code == 2
+    assert "config error" in err.getvalue()
+    assert out.getvalue() == ""
 
 
 @pytest.mark.skipif(shutil.which("simulate") is None,

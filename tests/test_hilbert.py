@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded_gate_matrix, haar_unitary, random_state_vector
+from conftest import ETA_GRID, embedded_gate_matrix, haar_unitary, random_state_vector
+from sectorsim.avalanche import scattering_matrix
 from sectorsim.hilbert import (
     DenseState,
     DimensionLimitError,
@@ -237,3 +238,48 @@ def test_gate_application_preserves_norm(seed, dims):
     gate = TwoSiteGate((int(i), int(j)), haar_unitary(dims[i] * dims[j], rng))
     state = DenseState(dims, random_state_vector(math.prod(dims), rng))
     assert abs(apply_two_site_gate(state, gate).norm() - 1.0) <= 1e-12
+
+
+def _sparse_gate(kind: str, di: int, dj: int, eta: complex, rng) -> np.ndarray:
+    """Gates whose rows hit the kernel's skip and single-term branches."""
+    d = di * dj
+    if kind == "permutation":
+        return np.eye(d)[rng.permutation(d)]
+    if kind == "phases":
+        # some rows stay exact identity rows, the others pick up a phase
+        keep = rng.random(d) < 0.5
+        return np.diag(np.where(keep, 1.0, np.exp(2j * np.pi * rng.random(d))))
+    if kind == "scattering":
+        return scattering_matrix(eta)
+    # one unitary per site, or the identity; site i is fastest, so it is
+    # the second Kronecker factor
+    u_i, u_j = (haar_unitary(d_s, rng) if rng.random() < 0.7 else np.eye(d_s)
+                for d_s in (di, dj))
+    return np.kron(u_j, u_i)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "phases", "scattering", "kron"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4),
+    order=st.data(),
+    eta=st.sampled_from(ETA_GRID),
+)
+def test_block_kernel_on_sparse_gates(kind, seed, dims, order, eta):
+    # both site orders, adjacent and separated pairs
+    n = len(dims)
+    i, j = order.draw(st.sampled_from([(a, b) for a in range(n) for b in range(n) if a != b]),
+                      label="sites")
+    if kind == "scattering":
+        dims[i] = dims[j] = 2
+    dims = tuple(dims)
+    rng = np.random.default_rng(seed)
+    gate_mat = _sparse_gate(kind, dims[i], dims[j], eta, rng)
+    state = DenseState(dims, random_state_vector(math.prod(dims), rng))
+    before = state.amps.copy()
+    out = apply_two_site_gate(state, TwoSiteGate((i, j), gate_mat))
+    full = embedded_gate_matrix(dims, i, j, gate_mat)
+    assert np.max(np.abs(out.amps - full @ state.amps)) <= 1e-12
+    assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(out.amps, state.amps)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from sectorsim.avalanche import AvalancheParams, dense_avalanche
-from sectorsim.hilbert import basis_state, flat_index, inner_product, tensor_product
+from sectorsim.hilbert import (
+    DimensionLimitError,
+    basis_state,
+    flat_index,
+    inner_product,
+    tensor_product,
+)
 from sectorsim.measurement import (
     PHOTON_H,
     PHOTON_V,
@@ -282,6 +288,12 @@ class TestQnd:
         assert a == b
         assert a["H"] + a["V"] == 1000
 
+    def test_shots_beyond_guard_rejected(self, monkeypatch):
+        monkeypatch.setenv("SECTORSIM_DIM_GUARD", "1024")
+        assert sum(qnd_sample(TILTED, shots=1024, seed=3).values()) == 1024
+        with pytest.raises(DimensionLimitError):
+            qnd_sample(TILTED, shots=1025, seed=3)
+
     def test_sampling_within_three_sigma(self):
         shots = 20000
         counts = qnd_sample(TILTED, shots=shots, seed=7)
@@ -312,3 +324,20 @@ class TestPhysicalScales:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             physical_scales(-1.0, 0.5, 1e-6, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_input_rejected(self, position, bad):
+        args = [2.0, 0.5, 1e-6]
+        args[position] = bad
+        with pytest.raises(ValueError):
+            physical_scales(*args, 10)
+
+    @pytest.mark.parametrize("args", [
+        (1024.0, 1.0, 1e-6),      # 2**1024 overflows
+        (1e308, 1e-308, 1e-6),    # depth itself overflows
+        (1e-300, 1e300, 1e300),   # mean free path overflows
+    ])
+    def test_overflowing_scale_rejected(self, args):
+        with pytest.raises(ValueError):
+            physical_scales(*args, 10)
