@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -51,15 +51,6 @@ from .sector import (
     dense_sector_operator,
     sector_apply,
     sector_expectation,
-)
-
-KINDS = (
-    "avalanche-sweep",
-    "measurement-sweep",
-    "sector-commutator",
-    "qnd-demo",
-    "oracle-check",
-    "scales",
 )
 
 ENGINES = ("structured", "dense", "both")
@@ -160,10 +151,6 @@ def build_config(kind: str, pairs: dict[str, str]) -> ExperimentConfig:
     if cfg.reference not in REFERENCES:
         raise ConfigError(f"reference must be one of {REFERENCES}, got {cfg.reference!r}")
     return cfg
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)}
 
 
 def _nan() -> float:
@@ -378,6 +365,7 @@ _RUNNERS = {
     "oracle-check": _run_oracle_check,
     "scales": _run_scales,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
@@ -420,7 +408,7 @@ def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:
         return value
 
     payload = {
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "records": [{k: clean(v) for k, v in rec.items()} for rec in records],
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"

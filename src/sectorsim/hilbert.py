@@ -14,8 +14,11 @@ Conventions used throughout the package:
   never written.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
-default, overridable through the ``SECTORSIM_DIM_GUARD`` environment
-variable) so an accidental large request fails fast instead of paging.
+default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
+control of that cap, and ``check_guard`` is the one place that compares a
+size against it: every dense amplitude vector, dense operator and sample
+batch in the package is checked there before it is allocated, so an
+accidental large request fails fast instead of paging.
 """
 
 from __future__ import annotations
@@ -49,18 +52,24 @@ def dimension_guard() -> int:
     return value
 
 
-def _checked_dims(dims, guard: int | None = None) -> tuple[int, ...]:
+def check_guard(count: int, what: str) -> None:
+    """Refuse a dense request of ``count`` numbers beyond the guard.
+
+    ``what`` describes the request; the error reads "<what>, guard is <cap>".
+    """
+    limit = dimension_guard()
+    if count > limit:
+        raise DimensionLimitError(f"{what}, guard is {limit}")
+
+
+def _checked_dims(dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("a state needs at least one site")
     if any(d < 2 for d in dims):
         raise ValueError(f"every site dimension must be >= 2, got {dims}")
     total = math.prod(dims)
-    limit = dimension_guard() if guard is None else int(guard)
-    if total > limit:
-        raise DimensionLimitError(
-            f"requested {total} amplitudes over {len(dims)} sites, guard is {limit}"
-        )
+    check_guard(total, f"requested {total} amplitudes over {len(dims)} sites")
     return dims
 
 
@@ -138,17 +147,17 @@ def flat_index(dims, labels) -> int:
     return idx
 
 
-def basis_state(dims, labels, guard: int | None = None) -> DenseState:
+def basis_state(dims, labels) -> DenseState:
     """Computational basis state with the given per-site labels."""
-    dims = _checked_dims(dims, guard)
+    dims = _checked_dims(dims)
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[flat_index(dims, labels)] = 1.0
     return DenseState(dims, amps)
 
 
-def tensor_product(a: DenseState, b: DenseState, guard: int | None = None) -> DenseState:
+def tensor_product(a: DenseState, b: DenseState) -> DenseState:
     """Concatenate site lists; ``a``'s sites come first (fastest-varying)."""
-    dims = _checked_dims(a.dims + b.dims, guard)
+    dims = _checked_dims(a.dims + b.dims)
     # kron's second factor is fastest-varying, matching site order (a, b)
     return DenseState(dims, np.kron(b.amps, a.amps))
 

@@ -30,20 +30,15 @@ import numpy as np
 
 from .avalanche import (
     AvalancheParams,
+    _check_generation,
+    _onto_unit_disc,
     apply_cascade,
     dense_avalanche,
     ground_register,
     overlap_ground,
     overlap_no_avalanche,
 )
-from .hilbert import (
-    DenseState,
-    DimensionLimitError,
-    basis_state,
-    dimension_guard,
-    inner_product,
-    tensor_product,
-)
+from .hilbert import DenseState, basis_state, check_guard, inner_product, tensor_product
 
 PHOTON_VAC = 0
 PHOTON_H = 1
@@ -90,7 +85,7 @@ class MeasurementSetup:
         # reuse the register-side validation for eta / sizes / depth
         params_h = AvalancheParams(self.n_dopants_h, self.eta, self.n_max)
         params_v = AvalancheParams(self.n_dopants_v, self.eta, self.n_max)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _onto_unit_disc(delta))
         object.__setattr__(self, "eta", params_h.eta)
         object.__setattr__(self, "n_dopants_h", params_h.n_dopants)
         object.__setattr__(self, "n_dopants_v", params_v.n_dopants)
@@ -106,13 +101,6 @@ class MeasurementSetup:
         if port == "V":
             return AvalancheParams(self.n_dopants_v, self.eta, self.n_max)
         raise ValueError(f"port must be 'H' or 'V', got {port!r}")
-
-
-def _check_generation(setup: MeasurementSetup, n: int) -> int:
-    n = int(n)
-    if n < 0 or n > setup.n_max:
-        raise ValueError(f"generation {n} outside [0, n_max = {setup.n_max}]")
-    return n
 
 
 @dataclass(frozen=True)
@@ -140,11 +128,11 @@ def _photon_ket(pol: PhotonPolarisation) -> DenseState:
     return DenseState((3,), np.array([0.0, pol.h, pol.v], dtype=np.complex128))
 
 
-def initial_state(setup: MeasurementSetup, guard: int | None = None) -> DenseState:
+def initial_state(setup: MeasurementSetup) -> DenseState:
     """Photon (x) ground H register (x) ground V register."""
     photon = _photon_ket(setup.pol)
-    with_h = tensor_product(photon, ground_register(setup.n_dopants_h, guard), guard)
-    return tensor_product(with_h, ground_register(setup.n_dopants_v, guard), guard)
+    with_h = tensor_product(photon, ground_register(setup.n_dopants_h))
+    return tensor_product(with_h, ground_register(setup.n_dopants_v))
 
 
 def photoexcite(setup: MeasurementSetup, state: DenseState) -> DenseState:
@@ -178,49 +166,44 @@ def photoexcite(setup: MeasurementSetup, state: DenseState) -> DenseState:
     return DenseState(state.dims, out.reshape(-1, order="F"))
 
 
-def evolve(setup: MeasurementSetup, n: int, guard: int | None = None) -> DenseState:
+def evolve(setup: MeasurementSetup, n: int) -> DenseState:
     """Dense joint state after photoexcitation and n cascade generations.
 
     The collision schedule runs in both registers; on branches whose
     register holds no excited seed the gates act as the identity, so this
     equals seeding only the clicked register.
     """
-    n = _check_generation(setup, n)
-    state = photoexcite(setup, initial_state(setup, guard))
+    n = _check_generation(setup.register_params("H"), n)
+    state = photoexcite(setup, initial_state(setup))
     return apply_cascade(state, setup.eta, n, offsets=(1, 1 + setup.n_dopants_h))
 
 
-def _pointer_ket(setup: MeasurementSetup, n: int, port: str, guard: int | None = None) -> DenseState:
+def _pointer_ket(setup: MeasurementSetup, n: int, port: str) -> DenseState:
     """|vacuum photon> (x) cascaded register for ``port`` (x) ground other register."""
     photon = basis_state((3,), (PHOTON_VAC,))
     if port == "H":
-        reg_h = dense_avalanche(setup.register_params("H"), n, guard)
-        reg_v = ground_register(setup.n_dopants_v, guard)
+        reg_h = dense_avalanche(setup.register_params("H"), n)
+        reg_v = ground_register(setup.n_dopants_v)
     else:
-        reg_h = ground_register(setup.n_dopants_h, guard)
-        reg_v = dense_avalanche(setup.register_params("V"), n, guard)
-    return tensor_product(tensor_product(photon, reg_h, guard), reg_v, guard)
-
-
-def _dense_feasible(setup: MeasurementSetup, guard: int | None = None) -> bool:
-    limit = dimension_guard() if guard is None else int(guard)
-    return 3 * 2 ** (setup.n_dopants_h + setup.n_dopants_v) <= limit
+        reg_h = ground_register(setup.n_dopants_h)
+        reg_v = dense_avalanche(setup.register_params("V"), n)
+    return tensor_product(tensor_product(photon, reg_h), reg_v)
 
 
 def sector_parameter_expectation(
     setup: MeasurementSetup,
     n: int,
     reference: str = "ground",
-    compute_direct: bool | None = None,
-    guard: int | None = None,
+    compute_direct: bool = False,
 ) -> MeasurementRecord:
     """Pointer expectation after n generations, by formula and (optionally) dense sandwich.
 
-    ``compute_direct=None`` runs the dense sandwich whenever the joint
-    dimension fits the guard; True forces it (raising if it cannot fit);
-    False skips it, leaving only the O(n) structured evaluation.
+    The O(n) structured evaluation always runs.  ``compute_direct=True``
+    adds the dense sandwich over all 3 * 2**(A_H + A_V) joint amplitudes,
+    which raises ``DimensionLimitError`` when that exceeds the dimension
+    guard; the guard only refuses, it never picks the route.
     """
-    n = _check_generation(setup, n)
+    n = _check_generation(setup.register_params("H"), n)
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
     if reference == "ground":
@@ -232,12 +215,11 @@ def sector_parameter_expectation(
     pol = setup.pol
     contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
     formula = contrast * (1.0 - abs(x_h * x_v) ** 2)
-    want_direct = _dense_feasible(setup, guard) if compute_direct is None else bool(compute_direct)
     direct = None
-    if want_direct:
-        psi = evolve(setup, n, guard)
-        amp_h = inner_product(_pointer_ket(setup, n, "H", guard), psi)
-        amp_v = inner_product(_pointer_ket(setup, n, "V", guard), psi)
+    if compute_direct:
+        psi = evolve(setup, n)
+        amp_h = inner_product(_pointer_ket(setup, n, "H"), psi)
+        amp_v = inner_product(_pointer_ket(setup, n, "V"), psi)
         direct = float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
     return MeasurementRecord(
         n=n,
@@ -261,7 +243,7 @@ DENSITY_TERM_LABELS = (
 )
 
 
-def density_terms(setup: MeasurementSetup, n: int, guard: int | None = None) -> dict[str, float]:
+def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     """Modulus of each branch family of the generation-n density operator.
 
     Each entry is |branch coefficient| times the modulus of the trace of
@@ -270,17 +252,17 @@ def density_terms(setup: MeasurementSetup, n: int, guard: int | None = None) -> 
     cascade state is orthogonal to the all-ground register, so all three
     cross families vanish identically.
     """
-    n = _check_generation(setup, n)
+    n = _check_generation(setup.register_params("H"), n)
     pol = setup.pol
     delta = setup.delta
     keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))
     photon = _photon_ket(pol)
     vacuum = basis_state((3,), (PHOTON_VAC,))
     photon_vac_overlap = inner_product(photon, vacuum)
-    cascade_h = dense_avalanche(setup.register_params("H"), n, guard)
-    cascade_v = dense_avalanche(setup.register_params("V"), n, guard)
-    ground_h = ground_register(setup.n_dopants_h, guard)
-    ground_v = ground_register(setup.n_dopants_v, guard)
+    cascade_h = dense_avalanche(setup.register_params("H"), n)
+    cascade_v = dense_avalanche(setup.register_params("V"), n)
+    ground_h = ground_register(setup.n_dopants_h)
+    ground_v = ground_register(setup.n_dopants_v)
     ground_cascade_h = inner_product(ground_h, cascade_h)
     ground_cascade_v = inner_product(ground_v, cascade_v)
     return {
@@ -335,9 +317,7 @@ def qnd_sample(pol: PhotonPolarisation, shots: int, seed: int) -> dict[str, int]
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    limit = dimension_guard()
-    if shots > limit:
-        raise DimensionLimitError(f"{shots} shots draw {shots} numbers, guard is {limit}")
+    check_guard(shots, f"{shots} shots draw {shots} numbers")
     rng = np.random.default_rng(seed)
     n_h = int(np.count_nonzero(rng.random(shots) < abs(pol.h) ** 2))
     return {"H": n_h, "V": shots - n_h}

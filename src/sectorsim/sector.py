@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DimensionLimitError, dimension_guard
+from .hilbert import check_guard
 
 STATE_NORM_TOL = 1e-12
 MODIFIED_SITE_TOL = 1e-12
@@ -166,15 +166,6 @@ def dense_action(action: SectorAction) -> np.ndarray:
     return total
 
 
-def _check_operator_guard(dims, guard: int | None) -> None:
-    total = math.prod(dims)
-    limit = dimension_guard() if guard is None else int(guard)
-    if total * total > limit:
-        raise DimensionLimitError(
-            f"dense operator needs {total}x{total} entries, guard is {limit}"
-        )
-
-
 def _embed_site_operator(dims, site: int, op: np.ndarray) -> np.ndarray:
     mats = [np.eye(d, dtype=np.complex128) for d in dims]
     mats[site] = op
@@ -182,11 +173,11 @@ def _embed_site_operator(dims, site: int, op: np.ndarray) -> np.ndarray:
     return functools.reduce(np.kron, reversed(mats))
 
 
-def dense_sector_operator(family: ElementaryFamily, guard: int | None = None) -> np.ndarray:
+def dense_sector_operator(family: ElementaryFamily) -> np.ndarray:
     """Assemble (1/N) sum_alpha |phi_a><phi_a| (x) identity as a dense matrix."""
     dims = family.dims
-    _check_operator_guard(dims, guard)
     total_dim = math.prod(dims)
+    check_guard(total_dim**2, f"dense operator needs {total_dim}x{total_dim} entries")
     out = np.zeros((total_dim, total_dim), dtype=np.complex128)
     for alpha, phi in enumerate(family.phi):
         out += _embed_site_operator(dims, alpha, np.outer(phi, phi.conj()))
@@ -194,7 +185,7 @@ def dense_sector_operator(family: ElementaryFamily, guard: int | None = None) ->
 
 
 def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,
-                    method: str = "analytic", guard: int | None = None) -> float:
+                    method: str = "analytic") -> float:
     """Operator norm of [X_a, X_b] for two sector parameters.
 
     ``analytic`` sums the per-site commutator norms and divides by N^2;
@@ -214,7 +205,7 @@ def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,
             total += float(np.linalg.norm(p @ q - q @ p, 2))
         return total / (n * n)
     if method == "dense":
-        op_a = dense_sector_operator(family_a, guard)
-        op_b = dense_sector_operator(family_b, guard)
+        op_a = dense_sector_operator(family_a)
+        op_b = dense_sector_operator(family_b)
         return float(np.linalg.norm(op_a @ op_b - op_b @ op_a, 2))
     raise ValueError(f"method must be 'analytic' or 'dense', got {method!r}")

@@ -1,17 +1,52 @@
 """Input guards fail closed: a NaN in any number a constructor checks is
-rejected, and so is a non-integral basis label."""
+rejected, and so is a non-integral basis label.  An amplitude a rounding
+error above 1 is projected onto the unit circle, the same for both engines.
+Every dense route refuses a request beyond the dimension guard before it
+allocates."""
 
+import cmath
+import contextlib
+import functools
+import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sectorsim.avalanche import AvalancheParams, structured_amplitude, structured_avalanche
-from sectorsim.hilbert import TwoSiteGate, flat_index
-from sectorsim.measurement import MeasurementSetup, PhotonPolarisation
-from sectorsim.sector import ElementaryFamily, ProductState
+from sectorsim.avalanche import (
+    ETA_TOL,
+    AvalancheParams,
+    dense_avalanche,
+    structured_amplitude,
+    structured_avalanche,
+)
+from sectorsim.cli import main
+from sectorsim.hilbert import (
+    DimensionLimitError,
+    TwoSiteGate,
+    basis_state,
+    flat_index,
+    tensor_product,
+)
+from sectorsim.measurement import (
+    AMPLITUDE_BOUND_TOL,
+    MeasurementSetup,
+    PhotonPolarisation,
+    density_terms,
+    evolve,
+    qnd_sample,
+    sector_parameter_expectation,
+)
+from sectorsim.sector import (
+    ElementaryFamily,
+    ProductState,
+    commutator_norm,
+    dense_sector_operator,
+)
 
 # constructor taking a flat list of complex components, and valid components
 CASES = {
@@ -71,3 +106,81 @@ def test_non_integral_label_is_rejected(data):
     batch[data.draw(st.integers(min_value=0, max_value=2))] = row
     with pytest.raises(ValueError, match="0 \\(ground\\) or 1"):
         structured_amplitude(state, batch)
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    eps=st.floats(min_value=0.0, max_value=min(ETA_TOL, AMPLITUDE_BOUND_TOL), exclude_min=True),
+    phase=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@example(eps=8e-13, phase=0.0)
+@example(eps=5e-13, phase=0.5273)  # here x / |x| lands an ulp outside the circle
+def test_amplitude_just_above_one_is_accepted_by_both_engines(eps, phase):
+    x = cmath.rect(1.0 + eps, phase)
+    assume(1.0 < abs(x) <= 1.0 + min(ETA_TOL, AMPLITUDE_BOUND_TOL))
+    assert abs(AvalancheParams(4, x, 2).eta) <= 1.0
+    setup = MeasurementSetup(PhotonPolarisation(1.0, 0.0), x, x, 4, 4, 2)
+    assert abs(setup.eta) <= 1.0
+    assert abs(setup.delta) <= 1.0
+    amp = ("--set", f"eta_re={x.real!r}", "--set", f"eta_im={x.imag!r}")
+    code, _, err = _cli("avalanche-sweep", *amp, "--set", "A=4", "--set", "n_max=2",
+                        "--set", "engine=both")
+    assert code == 0, err
+    code, out, err = _cli("measurement-sweep", *amp, "--set", f"delta_re={x.real!r}",
+                          "--set", f"delta_im={x.imag!r}", "--set", "engine=both",
+                          "--format", "json")
+    assert code == 0, err
+    for record in json.loads(out)["records"]:
+        assert record["expectation_direct"] <= 1.0 + 1e-15
+
+
+def _register(sites):
+    return basis_state((2,) * sites, (0,) * sites)
+
+
+def _setup(n_dopants_h, n_dopants_v):
+    return MeasurementSetup(PhotonPolarisation(1.0, 0.0), 1.0, 0.6,
+                            n_dopants_h, n_dopants_v, 2)
+
+
+def _family(sites):
+    return ElementaryFamily((np.array([1.0, 0.0]),) * sites)
+
+
+# each builds its (small) inputs, then returns the call that asks for ~2**20
+OVERSIZED = {
+    "basis_state": lambda: functools.partial(_register, 20),
+    "tensor_product": lambda: functools.partial(tensor_product, _register(10), _register(10)),
+    "dense_avalanche": lambda: functools.partial(
+        dense_avalanche, AvalancheParams(20, 0.6, 2), 2),
+    "evolve": lambda: functools.partial(evolve, _setup(9, 9), 2),
+    "sector_parameter_expectation": lambda: functools.partial(
+        sector_parameter_expectation, _setup(9, 9), 2, compute_direct=True),
+    "density_terms": lambda: functools.partial(density_terms, _setup(20, 4), 2),
+    "dense_sector_operator": lambda: functools.partial(dense_sector_operator, _family(10)),
+    "commutator_norm": lambda: functools.partial(
+        commutator_norm, _family(10), _family(10), method="dense"),
+    "qnd_sample": lambda: functools.partial(
+        qnd_sample, PhotonPolarisation(1.0, 0.0), 1 << 20, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_dense_request_refused_before_allocating(name, monkeypatch):
+    monkeypatch.setenv("SECTORSIM_DIM_GUARD", "1024")
+    call = OVERSIZED[name]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError, match="guard is 1024"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

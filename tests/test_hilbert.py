@@ -119,11 +119,12 @@ class TestTensorProduct:
         right = tensor_product(a, tensor_product(b, c))
         assert np.max(np.abs(left.amps - right.amps)) <= 1e-15
 
-    def test_guard_enforced(self):
+    def test_guard_enforced(self, monkeypatch):
+        monkeypatch.setenv("SECTORSIM_DIM_GUARD", str(2 ** 12))
         a = basis_state((2,) * 10, (0,) * 10)
         b = basis_state((2,) * 10, (0,) * 10)
         with pytest.raises(DimensionLimitError):
-            tensor_product(a, b, guard=2 ** 12)
+            tensor_product(a, b)
 
 
 class TestInnerProduct:

@@ -161,10 +161,11 @@ class TestDenseSectorOperator:
         vec = dense_product_state(family.phi)
         assert np.max(np.abs(op @ vec - vec)) <= 1e-12
 
-    def test_operator_guard(self):
+    def test_operator_guard(self, monkeypatch):
+        monkeypatch.setenv("SECTORSIM_DIM_GUARD", str(2 ** 10))
         family = uniform_family(KET0, 8)
         with pytest.raises(DimensionLimitError):
-            dense_sector_operator(family, guard=2 ** 10)
+            dense_sector_operator(family)
 
 
 class TestOracleEquivalence:
