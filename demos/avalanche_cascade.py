@@ -75,7 +75,7 @@ for flat, weight in sorted(support, key=lambda kv: -kv[1])[:6]:
 
 structured = structured_avalanche(params, 3)
 for level, members in enumerate(structured.partition.levels):
-    print(f"level {level} block:", members)
+    print(f"level {level} block:", tuple(members))
 print("untouched remainder:", list(structured.partition.remainder))
 
 # %%

@@ -42,8 +42,10 @@ untouched remainder.  Each block is
 where, inside Z_l, Z_0 is the subtree's root and Z_1 .. Z_{l-1} are the
 subtrees of its partners, latest first.  This gives the cascade/no-cascade
 overlap in closed form,
-|<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).  The partition and
-an amplitude cost O(2**n); the overlaps cost O(n).
+|<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).  Every block is
+an arithmetic progression of electron indices, so the partition is stored
+as ranges and costs O(n), as do the overlaps; an amplitude reads all 2**n
+touched labels and costs O(2**n).
 """
 
 from __future__ import annotations
@@ -53,7 +55,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DenseState, TwoSiteGate, apply_two_site_gate, basis_state, flat_index
+from .hilbert import (
+    DenseState,
+    TwoSiteGate,
+    _integral,
+    apply_two_site_gate,
+    basis_state,
+    flat_index,
+)
 
 GROUND = 0
 EXCITED = 1
@@ -92,8 +101,8 @@ class AvalancheParams:
     n_max: int
 
     def __post_init__(self):
-        n_dopants = int(self.n_dopants)
-        n_max = int(self.n_max)
+        n_dopants = _integral(self.n_dopants, "register sizes")
+        n_max = _integral(self.n_max, "generations")
         eta = _check_eta(self.eta)
         if n_dopants < 1:
             raise ValueError(f"need at least one dopant electron, got {n_dopants}")
@@ -110,7 +119,7 @@ class AvalancheParams:
 
 
 def _check_generation(params: AvalancheParams, n: int) -> int:
-    n = int(n)
+    n = _integral(n, "generations")
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     if n > params.n_max:
@@ -140,7 +149,7 @@ def scattering_gate(eta: complex, exciter: int = 0, partner: int = 1) -> TwoSite
 
 def generation_pairs(n: int) -> list[tuple[int, int]]:
     """Collision pairs fired at generation n >= 1: (k, k + 2**(n-1))."""
-    n = int(n)
+    n = _integral(n, "generations")
     if n < 1:
         raise ValueError(f"collisions start at generation 1, got {n}")
     half = 1 << (n - 1)
@@ -149,13 +158,14 @@ def generation_pairs(n: int) -> list[tuple[int, int]]:
 
 def ground_register(n_dopants: int) -> DenseState:
     """All-ground register state."""
-    return basis_state((2,) * int(n_dopants), (GROUND,) * int(n_dopants))
+    n_dopants = _integral(n_dopants, "register sizes")
+    return basis_state((2,) * n_dopants, (GROUND,) * n_dopants)
 
 
 def seeded_register(n_dopants: int) -> DenseState:
     """Register with the seed electron (site 0) excited, rest ground."""
-    labels = (EXCITED,) + (GROUND,) * (int(n_dopants) - 1)
-    return basis_state((2,) * int(n_dopants), labels)
+    n_dopants = _integral(n_dopants, "register sizes")
+    return basis_state((2,) * n_dopants, (EXCITED,) + (GROUND,) * (n_dopants - 1))
 
 
 def apply_cascade(state: DenseState, eta: complex, n: int, offsets: tuple[int, ...]) -> DenseState:
@@ -184,12 +194,13 @@ def dense_avalanche(params: AvalancheParams, n: int) -> DenseState:
 class ZBlockPartition:
     """Which electrons belong to which entangled block after n generations.
 
-    ``levels[l]`` is the ascending index list of block Z_l; electrons at
-    and beyond 2**n form the untouched ``remainder``.
+    ``levels[l]`` is the ascending range of block Z_l's electrons;
+    electrons at and beyond 2**n form the untouched ``remainder``.  Ranges
+    keep the partition O(n) in time and memory at any depth.
     """
 
     generation: int
-    levels: tuple[tuple[int, ...], ...]
+    levels: tuple[range, ...]
     remainder: range
 
 
@@ -209,8 +220,8 @@ def structured_avalanche(params: AvalancheParams, n: int) -> StructuredAvalanche
     """
     n = _check_generation(params, n)
     size = 1 << n
-    levels = ((0,),) + tuple(
-        tuple(range(size >> l, size, size >> (l - 1))) for l in range(1, n + 1)
+    levels = (range(1),) + tuple(
+        range(size >> l, size, size >> (l - 1)) for l in range(1, n + 1)
     )
     partition = ZBlockPartition(
         generation=n,
@@ -244,14 +255,22 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
     batch = bits.reshape(-1, params.n_dopants).astype(np.uint8, copy=False)
     n = state.generation
     table = np.array([1.0, 0.0, _survival(params.eta), params.eta], dtype=np.complex128)
+    one = np.complex128(1.0)
     # acc[:, j]: product of the subtrees folded into electron j so far.  A
     # flat left-to-right product would round, and underflow, differently.
-    acc = np.broadcast_to(np.complex128(1.0), (len(batch), 1 << n))
+    acc = np.full((len(batch), 1), one)
     for g in range(n, 0, -1):
         lo = 1 << (g - 1)
-        edge = table[2 * batch[:, :lo] + batch[:, lo : 2 * lo]]
-        edge *= acc[:, lo:]
-        acc = np.multiply(acc[:, :lo], edge, out=edge)  # electrons [0, lo) remain
+        idx = batch[:, :lo] << 1
+        idx += batch[:, lo : 2 * lo]
+        if g == n:
+            # every subtree is still 1 here: fold it into the 4-entry table
+            # once, in the operand order of the general step
+            acc = (one * (table * one)).take(idx)
+        else:
+            edge = table.take(idx)
+            edge *= acc[:, lo:]
+            acc = np.multiply(acc[:, :lo], edge, out=edge)  # electrons [0, lo) remain
     seeded = (batch[:, 0] == 1) & ~batch[:, 1 << n :].any(axis=1)
     amps = np.where(seeded, acc[:, 0], 0j)
     return complex(amps[0]) if bits.ndim == 1 else amps
@@ -265,7 +284,7 @@ def block_ground_overlap(level: int, eta: complex) -> complex:
     factor, so only its all-ground term survives: sqrt(1 - |eta|^2) for
     all levels >= 1.
     """
-    level = int(level)
+    level = _integral(level, "block levels")
     if level < 0:
         raise ValueError(f"block level must be >= 0, got {level}")
     eta = _check_eta(eta)

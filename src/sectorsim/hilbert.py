@@ -24,6 +24,7 @@ accidental large request fails fast instead of paging.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -62,8 +63,21 @@ def check_guard(count: int, what: str) -> None:
         raise DimensionLimitError(f"{what}, guard is {limit}")
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int: ints, numpy ints and integral floats pass, while
+    fractions, NaN and +-inf raise ValueError instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    as_float = float(value)
+    if not as_float.is_integer():
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return int(as_float)
+
+
 def _checked_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integral(d, "site dimensions") for d in dims)
     if not dims:
         raise ValueError("a state needs at least one site")
     if any(d < 2 for d in dims):
@@ -113,7 +127,7 @@ class TwoSiteGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        i, j = (int(s) for s in self.sites)
+        i, j = (_integral(s, "gate sites") for s in self.sites)
         if i < 0 or j < 0:
             raise ValueError(f"gate sites must be non-negative, got ({i}, {j})")
         if i == j:
@@ -130,11 +144,8 @@ class TwoSiteGate:
 
 def flat_index(dims, labels) -> int:
     """Flat position of a basis assignment, site 0 fastest-varying."""
-    dims = tuple(int(d) for d in dims)
-    labels = tuple(labels)
-    if not all(float(b).is_integer() for b in labels):
-        raise ValueError(f"labels must be integers, got {labels}")
-    labels = tuple(int(b) for b in labels)
+    dims = tuple(_integral(d, "site dimensions") for d in dims)
+    labels = tuple(_integral(b, "labels") for b in labels)
     if len(labels) != len(dims):
         raise ValueError(f"{len(dims)} sites but {len(labels)} labels")
     idx = 0

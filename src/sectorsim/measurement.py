@@ -38,7 +38,7 @@ from .avalanche import (
     overlap_ground,
     overlap_no_avalanche,
 )
-from .hilbert import DenseState, basis_state, check_guard, inner_product, tensor_product
+from .hilbert import DenseState, _integral, basis_state, check_guard, inner_product, tensor_product
 
 PHOTON_VAC = 0
 PHOTON_H = 1
@@ -314,7 +314,7 @@ def qnd_outcome(pol: PhotonPolarisation) -> QndOutcome:
 
 def qnd_sample(pol: PhotonPolarisation, shots: int, seed: int) -> dict[str, int]:
     """Seeded outcome counts over ``shots`` independent meter readings."""
-    shots = int(shots)
+    shots = _integral(shots, "shot counts")
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
     check_guard(shots, f"{shots} shots draw {shots} numbers")
@@ -348,7 +348,7 @@ def physical_scales(bias_voltage_v: float, gap_energy_ev: float, lattice_m: floa
     bias = float(bias_voltage_v)
     gap = float(gap_energy_ev)
     lattice = float(lattice_m)
-    n_dopants = int(n_dopants)
+    n_dopants = _integral(n_dopants, "register sizes")
     if not all(0 < x < math.inf for x in (bias, gap, lattice)) or n_dopants < 1:
         raise ValueError(
             "bias, gap, lattice constant must be finite and positive and n_dopants >= 1"

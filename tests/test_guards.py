@@ -1,6 +1,7 @@
 """Input guards fail closed: a NaN in any number a constructor checks is
-rejected, and so is a non-integral basis label.  An amplitude a rounding
-error above 1 is projected onto the unit circle, the same for both engines.
+rejected, and so is a non-integral basis label, size or depth.  An
+amplitude a rounding error above 1 is projected onto the unit circle, the
+same for both engines.
 Every dense route refuses a request beyond the dimension guard before it
 allocates."""
 
@@ -20,7 +21,12 @@ from hypothesis import strategies as st
 from sectorsim.avalanche import (
     ETA_TOL,
     AvalancheParams,
+    block_ground_overlap,
     dense_avalanche,
+    generation_pairs,
+    ground_register,
+    overlap_no_avalanche,
+    seeded_register,
     structured_amplitude,
     structured_avalanche,
 )
@@ -38,6 +44,7 @@ from sectorsim.measurement import (
     PhotonPolarisation,
     density_terms,
     evolve,
+    physical_scales,
     qnd_sample,
     sector_parameter_expectation,
 )
@@ -106,6 +113,45 @@ def test_non_integral_label_is_rejected(data):
     batch[data.draw(st.integers(min_value=0, max_value=2))] = row
     with pytest.raises(ValueError, match="0 \\(ground\\) or 1"):
         structured_amplitude(state, batch)
+
+
+# each takes one size, depth or index and accepts the integers 2 and 3
+WHOLE_NUMBER_INPUTS = {
+    "AvalancheParams.n_dopants": lambda x: AvalancheParams(x, 0.6, 0),
+    "AvalancheParams.n_max": lambda x: AvalancheParams(8, 0.6, x),
+    "MeasurementSetup.n_max": lambda x: MeasurementSetup(
+        PhotonPolarisation(1.0, 0.0), 1.0, 0.6, 8, 8, x),
+    "structured_avalanche": lambda x: structured_avalanche(AvalancheParams(8, 0.6, 3), x),
+    "dense_avalanche": lambda x: dense_avalanche(AvalancheParams(8, 0.6, 3), x),
+    "overlap_no_avalanche": lambda x: overlap_no_avalanche(AvalancheParams(8, 0.6, 3), x),
+    "generation_pairs": generation_pairs,
+    "block_ground_overlap": lambda x: block_ground_overlap(x, 0.6),
+    "ground_register": ground_register,
+    "seeded_register": seeded_register,
+    "basis_state": lambda x: basis_state((x, 2), (0, 0)),
+    "flat_index": lambda x: flat_index((x, 2), (0, 0)),
+    "TwoSiteGate": lambda x: TwoSiteGate((0, x), np.eye(4)),
+    "qnd_sample": lambda x: qnd_sample(PhotonPolarisation(1.0, 0.0), x, 7),
+    "physical_scales": lambda x: physical_scales(1.0, 0.5, 1e-9, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_NUMBER_INPUTS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    whole=st.integers(min_value=2, max_value=3),
+    bad=st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: not x.is_integer()),
+    ),
+)
+@example(whole=2, bad=2.5)
+def test_non_integral_size_or_depth_is_rejected(name, whole, bad):
+    call = WHOLE_NUMBER_INPUTS[name]
+    for value in (whole, float(whole), np.int64(whole)):
+        call(value)
+    with pytest.raises(ValueError, match="integers"):
+        call(bad)
 
 
 def _cli(*argv):
