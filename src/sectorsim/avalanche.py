@@ -127,19 +127,24 @@ def _check_generation(params: AvalancheParams, n: int) -> int:
     return n
 
 
-def scattering_matrix(eta: complex) -> np.ndarray:
-    """4x4 collision unitary in the (exciter, partner) product basis."""
-    eta = _check_eta(eta)
-    s = _survival(eta)
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    # basis order (exciter fastest): gg=0, eg=1, ge=2, ee=3
-    mat[0, 0] = 1.0
-    mat[1, 1] = s
-    mat[3, 1] = eta
-    mat[2, 2] = 1.0
-    mat[1, 3] = -np.conj(eta)
-    mat[3, 3] = s
+def _rotation(dim: int, src: int, dst: int, amp: complex) -> np.ndarray:
+    """``dim`` x ``dim`` identity except for the rotation of |src>, |dst>:
+    |src> -> s|src> + amp|dst> and |dst> -> s|dst> - conj(amp)|src>, with
+    s = sqrt(1 - |amp|^2)."""
+    s = _survival(amp)
+    mat = np.eye(dim, dtype=np.complex128)
+    mat[src, src] = mat[dst, dst] = s
+    mat[dst, src] = amp
+    mat[src, dst] = -np.conj(amp)
     return mat
+
+
+def scattering_matrix(eta: complex) -> np.ndarray:
+    """4x4 collision unitary in the (exciter, partner) product basis.
+
+    Basis order (exciter fastest): gg=0, eg=1, ge=2, ee=3.
+    """
+    return _rotation(4, 1, 3, _check_eta(eta))
 
 
 def scattering_gate(eta: complex, exciter: int = 0, partner: int = 1) -> TwoSiteGate:

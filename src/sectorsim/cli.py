@@ -153,10 +153,6 @@ def build_config(kind: str, pairs: dict[str, str]) -> ExperimentConfig:
     return cfg
 
 
-def _nan() -> float:
-    return float("nan")
-
-
 def _run_avalanche_sweep(cfg: ExperimentConfig) -> list[dict]:
     params = AvalancheParams(cfg.A, cfg.eta, cfg.n_max)
     records = []
@@ -193,12 +189,7 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> list[dict]:
         rec = sector_parameter_expectation(
             setup, n, reference=cfg.reference, compute_direct=want_direct
         )
-        direct = rec.expectation_direct if rec.expectation_direct is not None else _nan()
-        diff = (
-            abs(direct - rec.expectation_formula)
-            if rec.expectation_direct is not None
-            else _nan()
-        )
+        direct = math.nan if rec.expectation_direct is None else rec.expectation_direct
         records.append({
             "n": n,
             "M": rec.m_electrons,
@@ -206,7 +197,7 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> list[dict]:
             "expectation_direct": direct,
             "expectation_formula": rec.expectation_formula,
             "limit": rec.limit,
-            "abs_diff": diff,
+            "abs_diff": abs(direct - rec.expectation_formula),
         })
     return records
 

@@ -7,7 +7,11 @@ electrons and then the V register's electrons, in that site order.
 The story: a polarised photon h|H> + v|V> meets a polarising splitter;
 with amplitude delta it is absorbed and excites the seed electron of the
 matching register, after which the cascade runs n generations in
-whichever register was seeded.  The two-outcome pointer observable
+whichever register was seeded.  Absorption, like a collision, is a
+two-site rotation gate completed to a unitary, so it also acts on the
+photon-vacuum sector instead of passing it through.
+
+The two-outcome pointer observable
 
     P = |H click><H click| - |V click><V click|
 
@@ -32,13 +36,24 @@ from .avalanche import (
     AvalancheParams,
     _check_generation,
     _onto_unit_disc,
+    _rotation,
+    _survival,
     apply_cascade,
     dense_avalanche,
     ground_register,
     overlap_ground,
     overlap_no_avalanche,
 )
-from .hilbert import DenseState, _integral, basis_state, check_guard, inner_product, tensor_product
+from .hilbert import (
+    DenseState,
+    TwoSiteGate,
+    _integral,
+    apply_two_site_gate,
+    basis_state,
+    check_guard,
+    inner_product,
+    tensor_product,
+)
 
 PHOTON_VAC = 0
 PHOTON_H = 1
@@ -138,32 +153,18 @@ def initial_state(setup: MeasurementSetup) -> DenseState:
 def photoexcite(setup: MeasurementSetup, state: DenseState) -> DenseState:
     """Absorb the photon into the matching register's seed electron.
 
-    |H photon, seed ground> -> sqrt(1-|delta|^2) |same> + delta |vacuum, seed excited>
-    and the mirror rule for V; the photon-vacuum sector passes through.
+    A gate on (photon, H seed) maps |H photon, seed ground> to
+    sqrt(1-|delta|^2) |same> + delta |vacuum, seed excited>, completed to a
+    unitary the way the collision gate is: |vacuum, seed excited> picks up
+    -conj(delta) |H photon, seed ground>.  The mirror gate for V follows.
     """
     if state.dims != setup.dims:
         raise ValueError(f"state sites {state.dims} do not match setup {setup.dims}")
-    delta = setup.delta
-    keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))
-    n_axes = len(state.dims)
-    h_seed_axis = 1
-    v_seed_axis = 1 + setup.n_dopants_h
-
-    def pick(photon_label: int, axis: int, bit: int) -> tuple:
-        index: list = [slice(None)] * n_axes
-        index[0] = photon_label
-        index[axis] = bit
-        return tuple(index)
-
-    arr = state.amps.reshape(state.dims, order="F")
-    out = arr.copy()
-    src_h = arr[pick(PHOTON_H, h_seed_axis, 0)].copy()
-    out[pick(PHOTON_H, h_seed_axis, 0)] = keep * src_h
-    out[pick(PHOTON_VAC, h_seed_axis, 1)] += delta * src_h
-    src_v = arr[pick(PHOTON_V, v_seed_axis, 0)].copy()
-    out[pick(PHOTON_V, v_seed_axis, 0)] = keep * src_v
-    out[pick(PHOTON_VAC, v_seed_axis, 1)] += delta * src_v
-    return DenseState(state.dims, out.reshape(-1, order="F"))
+    for photon, seed in ((PHOTON_H, 1), (PHOTON_V, 1 + setup.n_dopants_h)):
+        # pair label: photon + 3 * seed bit, photon fastest
+        absorb = _rotation(6, photon, PHOTON_VAC + 3, setup.delta)
+        state = apply_two_site_gate(state, TwoSiteGate((0, seed), absorb))
+    return state
 
 
 def evolve(setup: MeasurementSetup, n: int) -> DenseState:
@@ -255,7 +256,7 @@ def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     n = _check_generation(setup.register_params("H"), n)
     pol = setup.pol
     delta = setup.delta
-    keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))
+    keep = _survival(delta)
     photon = _photon_ket(pol)
     vacuum = basis_state((3,), (PHOTON_VAC,))
     photon_vac_overlap = inner_product(photon, vacuum)

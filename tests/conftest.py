@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 # collision amplitudes: zero, real, a unit-modulus complex point, full transfer
 UNIT_PHASE = (0.6 + 0.2j) / abs(0.6 + 0.2j)
 ETA_GRID = (0.0, 0.3, UNIT_PHASE, 1.0)
+
+# amplitudes on the closed unit disc: signed zeros, a deep underflow, the
+# unit circle
+UNIT_DISC = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     1e-170, complex(-0.0, -0.5), complex(0.5, -0.0), 1.0, -1.0, -1j]),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+        lambda z: abs(z) <= 1.0),
+    st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)),
+)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Cascade engines: collision gate, schedule, block structure, overlaps."""
 
-import cmath
 import math
 import time
 import tracemalloc
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ETA_GRID, UNIT_PHASE
+from conftest import ETA_GRID, UNIT_DISC, UNIT_PHASE
 from sectorsim.avalanche import (
     AvalancheParams,
     block_ground_overlap,
@@ -210,16 +209,6 @@ def broadcast_ones_fold(params, n, batch):
     return np.where(seeded, acc[:, 0], 0j)
 
 
-# the closed disc, signed zeros, a deep underflow, and the unit circle
-DISC_ETAS = st.one_of(
-    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
-                     1e-170, complex(-0.0, -0.5), complex(0.5, -0.0), 1.0, -1.0, -1j]),
-    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
-        lambda z: abs(z) <= 1.0),
-    st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)),
-)
-
-
 @st.composite
 def label_batches(draw):
     """(A, n, labels): free rows and rows the cascade can reach."""
@@ -240,7 +229,7 @@ def label_batches(draw):
 
 class TestStructuredFoldBits:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(eta=DISC_ETAS, case=label_batches())
+    @given(eta=UNIT_DISC, case=label_batches())
     @example(eta=complex(-0.0, -0.5), case=(8, 3, np.eye(1, 8, dtype=np.uint8)))
     def test_bit_identical_to_broadcast_ones_fold(self, eta, case):
         n_dopants, n, batch = case

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import UNIT_DISC, UNIT_PHASE, embedded_gate_matrix, random_state_vector
 from sectorsim.avalanche import AvalancheParams, dense_avalanche
 from sectorsim.hilbert import (
+    DenseState,
     DimensionLimitError,
     basis_state,
     flat_index,
@@ -49,6 +53,42 @@ def branch_weights(setup, state):
     h_seeded = np.take(vac, 1, axis=h_axis).sum()
     v_seeded = np.take(np.take(vac, 0, axis=h_axis), 1, axis=v_axis - 1).sum()
     return float(no_click), float(h_seeded), float(v_seeded)
+
+
+def slice_photoexcite(setup, state):
+    """Reference absorption by slicing the Fortran-order joint array: the
+    H and V rules applied to the photon-vacuum sector as it stands, which
+    agrees with the absorption gates on every state the measurement reaches
+    (vacuum amplitude 0)."""
+    delta = setup.delta
+    keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))
+    n_axes = len(state.dims)
+
+    def pick(photon_label, axis, bit):
+        index = [slice(None)] * n_axes
+        index[0] = photon_label
+        index[axis] = bit
+        return tuple(index)
+
+    arr = state.amps.reshape(state.dims, order="F")
+    out = arr.copy()
+    for photon, axis in ((PHOTON_H, 1), (PHOTON_V, 1 + setup.n_dopants_h)):
+        src = arr[pick(photon, axis, 0)].copy()
+        out[pick(photon, axis, 0)] = keep * src
+        out[pick(PHOTON_VAC, axis, 1)] += delta * src
+    return DenseState(state.dims, out.reshape(-1, order="F"))
+
+
+def absorption_matrix(photon, delta):
+    """6x6 absorption unitary on (photon, seed), photon fastest, written out."""
+    keep = math.sqrt(max(0.0, 1.0 - abs(delta) ** 2))
+    src, dst = photon, PHOTON_VAC + 3  # |photon, ground>, |vacuum, excited>
+    mat = np.eye(6, dtype=np.complex128)
+    mat[src, src] = keep
+    mat[dst, dst] = keep
+    mat[dst, src] = delta
+    mat[src, dst] = -np.conj(delta)
+    return mat
 
 
 class TestValidation:
@@ -109,6 +149,48 @@ class TestPhotoexcite:
         setup = small_setup()
         with pytest.raises(ValueError):
             photoexcite(setup, basis_state((3, 2, 2), (0, 0, 0)))
+
+
+class TestAbsorptionGate:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a_h=st.integers(1, 3), a_v=st.integers(1, 3), delta=UNIT_DISC,
+           seed=st.integers(0, 2 ** 31))
+    @example(a_h=1, a_v=1, delta=1.0, seed=0)
+    @example(a_h=3, a_v=2, delta=1e-170, seed=1)
+    def test_unitary_on_every_joint_state(self, a_h, a_v, delta, seed):
+        setup = small_setup(delta=delta, a_h=a_h, a_v=a_v, n_max=0)
+        rng = np.random.default_rng(seed)
+        dims = setup.dims
+        state = DenseState(dims, random_state_vector(math.prod(dims), rng))
+        before = state.amps.copy()
+        full = (embedded_gate_matrix(dims, 0, 1 + a_h, absorption_matrix(PHOTON_V, setup.delta))
+                @ embedded_gate_matrix(dims, 0, 1, absorption_matrix(PHOTON_H, setup.delta)))
+        out = photoexcite(setup, state)
+        assert np.max(np.abs(out.amps - full @ state.amps)) <= 1e-12
+        assert abs(out.norm() - 1.0) <= 1e-12
+        assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("pol", [TILTED, BALANCED, H_ONLY, PhotonPolarisation(0.0, -1.0),
+                                     PhotonPolarisation(-0.6, 0.8)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-170, 0.5, -0.3, 1.0])
+    @pytest.mark.parametrize("a_h,a_v", [(4, 4), (1, 3), (3, 1)])
+    def test_real_amplitudes_equal_slice_reference(self, pol, delta, a_h, a_v):
+        setup = small_setup(pol=pol, delta=delta, a_h=a_h, a_v=a_v, n_max=0)
+        state = initial_state(setup)
+        got = photoexcite(setup, state).amps
+        want = slice_photoexcite(setup, state).amps
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pol", [TILTED, PhotonPolarisation(0.48 + 0.64j, 0.6),
+                                     PhotonPolarisation(0.6j, -0.8j)])
+    @pytest.mark.parametrize("delta", [UNIT_PHASE, 0.3 + 0.4j, -0.6 + 0.8j, 1j])
+    @pytest.mark.parametrize("a_h,a_v", [(4, 4), (2, 1)])
+    def test_complex_amplitudes_near_slice_reference(self, pol, delta, a_h, a_v):
+        setup = small_setup(pol=pol, delta=delta, a_h=a_h, a_v=a_v, n_max=0)
+        state = initial_state(setup)
+        got = photoexcite(setup, state).amps
+        want = slice_photoexcite(setup, state).amps
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestEvolve:
