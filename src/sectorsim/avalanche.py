@@ -70,21 +70,18 @@ EXCITED = 1
 ETA_TOL = 1e-12
 
 
-def _onto_unit_disc(x: complex) -> complex:
-    """``x`` itself when |x| <= 1, else ``x / |x|``, so a tolerated overshoot
-    never reaches a unitarity check or a probability."""
+def _check_amplitude(x: complex, name: str) -> complex:
+    """``x`` as a complex with |x| <= 1.  An overshoot of at most ``ETA_TOL``
+    is scaled onto the unit circle, so it never reaches a unitarity check or
+    a probability; a larger |x|, or NaN, raises ValueError naming ``name``."""
+    x = complex(x)
+    if not abs(x) <= 1.0 + ETA_TOL:
+        raise ValueError(f"amplitude needs |{name}| <= 1, got |{name}| = {abs(x)}")
     if abs(x) > 1.0:
         x /= abs(x)
         while abs(x) > 1.0:  # x / |x| can land an ulp outside the circle
             x *= 1.0 - 2.0**-52
     return x
-
-
-def _check_eta(eta: complex) -> complex:
-    eta = complex(eta)
-    if not abs(eta) <= 1.0 + ETA_TOL:
-        raise ValueError(f"collision amplitude needs |eta| <= 1, got |eta| = {abs(eta)}")
-    return _onto_unit_disc(eta)
 
 
 def _survival(eta: complex) -> float:
@@ -103,7 +100,7 @@ class AvalancheParams:
     def __post_init__(self):
         n_dopants = _integral(self.n_dopants, "register sizes")
         n_max = _integral(self.n_max, "generations")
-        eta = _check_eta(self.eta)
+        eta = _check_amplitude(self.eta, "eta")
         if n_dopants < 1:
             raise ValueError(f"need at least one dopant electron, got {n_dopants}")
         if n_max < 0:
@@ -144,7 +141,7 @@ def scattering_matrix(eta: complex) -> np.ndarray:
 
     Basis order (exciter fastest): gg=0, eg=1, ge=2, ee=3.
     """
-    return _rotation(4, 1, 3, _check_eta(eta))
+    return _rotation(4, 1, 3, _check_amplitude(eta, "eta"))
 
 
 def scattering_gate(eta: complex, exciter: int = 0, partner: int = 1) -> TwoSiteGate:
@@ -292,7 +289,7 @@ def block_ground_overlap(level: int, eta: complex) -> complex:
     level = _integral(level, "block levels")
     if level < 0:
         raise ValueError(f"block level must be >= 0, got {level}")
-    eta = _check_eta(eta)
+    eta = _check_amplitude(eta, "eta")
     return complex(_survival(eta)) if level else 0j
 
 

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   basis assignment (b_0, b_1, ..., b_{S-1}) lives at flat index
   sum_s b_s * prod_{s'<s} d_{s'}.
 * Amplitudes are complex double precision.
+* Site products, of state vectors or of per-site operators, are built by
+  ``kron_sites``, the one fold that puts site 0 fastest-varying.
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
   unitary to within ``UNITARITY_TOL``.
@@ -23,6 +25,7 @@ accidental large request fails fast instead of paging.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -61,6 +64,15 @@ def check_guard(count: int, what: str) -> None:
     limit = dimension_guard()
     if count > limit:
         raise DimensionLimitError(f"{what}, guard is {limit}")
+
+
+def kron_sites(factors, what: str) -> np.ndarray:
+    """Kronecker product of one vector or one square matrix per site, site 0
+    fastest-varying; ``what`` names the request in a guard refusal."""
+    count = math.prod(f.size for f in factors)
+    check_guard(count, f"{what} needs {count} entries")
+    # kron's second factor varies fastest, so fold from the last site down
+    return functools.reduce(np.kron, reversed(factors))
 
 
 def _integral(value, what: str) -> int:
@@ -168,9 +180,7 @@ def basis_state(dims, labels) -> DenseState:
 
 def tensor_product(a: DenseState, b: DenseState) -> DenseState:
     """Concatenate site lists; ``a``'s sites come first (fastest-varying)."""
-    dims = _checked_dims(a.dims + b.dims)
-    # kron's second factor is fastest-varying, matching site order (a, b)
-    return DenseState(dims, np.kron(b.amps, a.amps))
+    return DenseState(a.dims + b.dims, kron_sites((a.amps, b.amps), "tensor product"))
 
 
 def inner_product(a: DenseState, b: DenseState) -> complex:

@@ -28,14 +28,14 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .avalanche import (
     AvalancheParams,
+    _check_amplitude,
     _check_generation,
-    _onto_unit_disc,
     _rotation,
     _survival,
     apply_cascade,
@@ -60,7 +60,6 @@ PHOTON_H = 1
 PHOTON_V = 2
 
 POLARISATION_NORM_TOL = 1e-12
-AMPLITUDE_BOUND_TOL = 1e-12
 
 REFERENCES = ("ground", "no_avalanche")
 
@@ -84,7 +83,12 @@ class PhotonPolarisation:
 
 @dataclass(frozen=True)
 class MeasurementSetup:
-    """Photon, absorption amplitude, collision amplitude, register sizes."""
+    """Photon, absorption amplitude, collision amplitude, register sizes.
+
+    ``registers`` holds the H and V registers' ``AvalancheParams``, H first,
+    built from the fields and left out of equality and hashing;
+    ``seed_sites`` are the two seed electrons' sites in the joint state.
+    """
 
     pol: PhotonPolarisation
     delta: complex
@@ -92,30 +96,29 @@ class MeasurementSetup:
     n_dopants_h: int
     n_dopants_v: int
     n_max: int
+    registers: tuple[AvalancheParams, AvalancheParams] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        delta = complex(self.delta)
-        if not abs(delta) <= 1.0 + AMPLITUDE_BOUND_TOL:
-            raise ValueError(f"absorption amplitude needs |delta| <= 1, got {abs(delta)}")
-        # reuse the register-side validation for eta / sizes / depth
-        params_h = AvalancheParams(self.n_dopants_h, self.eta, self.n_max)
-        params_v = AvalancheParams(self.n_dopants_v, self.eta, self.n_max)
-        object.__setattr__(self, "delta", _onto_unit_disc(delta))
-        object.__setattr__(self, "eta", params_h.eta)
-        object.__setattr__(self, "n_dopants_h", params_h.n_dopants)
-        object.__setattr__(self, "n_dopants_v", params_v.n_dopants)
-        object.__setattr__(self, "n_max", params_h.n_max)
+        delta = _check_amplitude(self.delta, "delta")
+        # the register-side validation covers eta, the sizes and the depth
+        registers = tuple(AvalancheParams(a, self.eta, self.n_max)
+                          for a in (self.n_dopants_h, self.n_dopants_v))
+        h, v = registers
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "eta", h.eta)
+        object.__setattr__(self, "n_dopants_h", h.n_dopants)
+        object.__setattr__(self, "n_dopants_v", v.n_dopants)
+        object.__setattr__(self, "n_max", h.n_max)
+        object.__setattr__(self, "registers", registers)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return (3,) + (2,) * self.n_dopants_h + (2,) * self.n_dopants_v
 
-    def register_params(self, port: str) -> AvalancheParams:
-        if port == "H":
-            return AvalancheParams(self.n_dopants_h, self.eta, self.n_max)
-        if port == "V":
-            return AvalancheParams(self.n_dopants_v, self.eta, self.n_max)
-        raise ValueError(f"port must be 'H' or 'V', got {port!r}")
+    @property
+    def seed_sites(self) -> tuple[int, int]:
+        return (1, 1 + self.n_dopants_h)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def photoexcite(setup: MeasurementSetup, state: DenseState) -> DenseState:
     """
     if state.dims != setup.dims:
         raise ValueError(f"state sites {state.dims} do not match setup {setup.dims}")
-    for photon, seed in ((PHOTON_H, 1), (PHOTON_V, 1 + setup.n_dopants_h)):
+    for photon, seed in zip((PHOTON_H, PHOTON_V), setup.seed_sites):
         # pair label: photon + 3 * seed bit, photon fastest
         absorb = _rotation(6, photon, PHOTON_VAC + 3, setup.delta)
         state = apply_two_site_gate(state, TwoSiteGate((0, seed), absorb))
@@ -174,21 +177,19 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
     register holds no excited seed the gates act as the identity, so this
     equals seeding only the clicked register.
     """
-    n = _check_generation(setup.register_params("H"), n)
+    n = _check_generation(setup.registers[0], n)
     state = photoexcite(setup, initial_state(setup))
-    return apply_cascade(state, setup.eta, n, offsets=(1, 1 + setup.n_dopants_h))
+    return apply_cascade(state, setup.eta, n, offsets=setup.seed_sites)
 
 
-def _pointer_ket(setup: MeasurementSetup, n: int, port: str) -> DenseState:
-    """|vacuum photon> (x) cascaded register for ``port`` (x) ground other register."""
-    photon = basis_state((3,), (PHOTON_VAC,))
-    if port == "H":
-        reg_h = dense_avalanche(setup.register_params("H"), n)
-        reg_v = ground_register(setup.n_dopants_v)
-    else:
-        reg_h = ground_register(setup.n_dopants_h)
-        reg_v = dense_avalanche(setup.register_params("V"), n)
-    return tensor_product(tensor_product(photon, reg_h), reg_v)
+def _pointer_ket(setup: MeasurementSetup, n: int, port: int) -> DenseState:
+    """|vacuum photon> (x) cascaded register ``port`` (0 = H, 1 = V) (x) ground other register."""
+    state = basis_state((3,), (PHOTON_VAC,))
+    for index, params in enumerate(setup.registers):
+        register = (dense_avalanche(params, n) if index == port
+                    else ground_register(params.n_dopants))
+        state = tensor_product(state, register)
+    return state
 
 
 def sector_parameter_expectation(
@@ -204,23 +205,18 @@ def sector_parameter_expectation(
     which raises ``DimensionLimitError`` when that exceeds the dimension
     guard; the guard only refuses, it never picks the route.
     """
-    n = _check_generation(setup.register_params("H"), n)
+    n = _check_generation(setup.registers[0], n)
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
-    if reference == "ground":
-        x_h = overlap_ground(setup.register_params("H"), n)
-        x_v = overlap_ground(setup.register_params("V"), n)
-    else:
-        x_h = overlap_no_avalanche(setup.register_params("H"), n)
-        x_v = overlap_no_avalanche(setup.register_params("V"), n)
+    overlap = overlap_ground if reference == "ground" else overlap_no_avalanche
+    x_h, x_v = (overlap(params, n) for params in setup.registers)
     pol = setup.pol
     contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
     formula = contrast * (1.0 - abs(x_h * x_v) ** 2)
     direct = None
     if compute_direct:
         psi = evolve(setup, n)
-        amp_h = inner_product(_pointer_ket(setup, n, "H"), psi)
-        amp_v = inner_product(_pointer_ket(setup, n, "V"), psi)
+        amp_h, amp_v = (inner_product(_pointer_ket(setup, n, port), psi) for port in (0, 1))
         direct = float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
     return MeasurementRecord(
         n=n,
@@ -234,16 +230,6 @@ def sector_parameter_expectation(
     )
 
 
-DENSITY_TERM_LABELS = (
-    "no_click_diagonal",
-    "h_diagonal",
-    "v_diagonal",
-    "no_click_h_cross",
-    "no_click_v_cross",
-    "h_v_cross",
-)
-
-
 def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     """Modulus of each branch family of the generation-n density operator.
 
@@ -253,31 +239,25 @@ def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     cascade state is orthogonal to the all-ground register, so all three
     cross families vanish identically.
     """
-    n = _check_generation(setup.register_params("H"), n)
+    n = _check_generation(setup.registers[0], n)
     pol = setup.pol
     delta = setup.delta
     keep = _survival(delta)
-    photon = _photon_ket(pol)
-    vacuum = basis_state((3,), (PHOTON_VAC,))
-    photon_vac_overlap = inner_product(photon, vacuum)
-    cascade_h = dense_avalanche(setup.register_params("H"), n)
-    cascade_v = dense_avalanche(setup.register_params("V"), n)
-    ground_h = ground_register(setup.n_dopants_h)
-    ground_v = ground_register(setup.n_dopants_v)
-    ground_cascade_h = inner_product(ground_h, cascade_h)
-    ground_cascade_v = inner_product(ground_v, cascade_v)
+    photon_vac = abs(inner_product(_photon_ket(pol), basis_state((3,), (PHOTON_VAC,))))
+    click = [abs(amp * delta) for amp in (pol.h, pol.v)]
+    ground_cascade = [
+        abs(inner_product(ground_register(params.n_dopants), dense_avalanche(params, n)))
+        for params in setup.registers
+    ]
+    cross = [c * keep * photon_vac * g for c, g in zip(click, ground_cascade)]
     return {
         "no_click_diagonal": float(keep ** 2),
-        "h_diagonal": float(abs(pol.h * delta) ** 2),
-        "v_diagonal": float(abs(pol.v * delta) ** 2),
-        "no_click_h_cross": float(
-            abs(delta * pol.h) * keep * abs(photon_vac_overlap) * abs(ground_cascade_h)
-        ),
-        "no_click_v_cross": float(
-            abs(delta * pol.v) * keep * abs(photon_vac_overlap) * abs(ground_cascade_v)
-        ),
+        "h_diagonal": float(click[0] ** 2),
+        "v_diagonal": float(click[1] ** 2),
+        "no_click_h_cross": float(cross[0]),
+        "no_click_v_cross": float(cross[1]),
         "h_v_cross": float(
-            abs(delta) ** 2 * abs(pol.h * pol.v) * abs(ground_cascade_h) * abs(ground_cascade_v)
+            abs(delta) ** 2 * abs(pol.h * pol.v) * ground_cascade[0] * ground_cascade[1]
         ),
     }
 

@@ -20,13 +20,11 @@ site-repeated families is max_alpha ||[P_alpha, P'_alpha]|| / N.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import check_guard
+from .hilbert import kron_sites
 
 STATE_NORM_TOL = 1e-12
 MODIFIED_SITE_TOL = 1e-12
@@ -152,36 +150,27 @@ def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
 def dense_product_state(vectors) -> np.ndarray:
     """Flat amplitude vector of a product state, site 0 fastest-varying."""
     vecs = [np.ascontiguousarray(v, dtype=np.complex128) for v in vectors]
-    # kron's second factor varies fastest, so fold from the last site down
-    return functools.reduce(np.kron, reversed(vecs))
+    return kron_sites(vecs, f"product state over {len(vecs)} sites")
 
 
 def dense_action(action: SectorAction) -> np.ndarray:
     """Densify a sector action by expanding and summing its terms."""
     if not action.terms:
         raise ValueError("cannot densify an empty action without site dimensions")
-    total = np.zeros(math.prod(action.terms[0][1].dims), dtype=np.complex128)
+    total = 0
     for coef, state in action.terms:
         total += coef * dense_product_state(state.psi)
     return total
 
 
-def _embed_site_operator(dims, site: int, op: np.ndarray) -> np.ndarray:
-    mats = [np.eye(d, dtype=np.complex128) for d in dims]
-    mats[site] = op
-    # site 0 fastest-varying puts it last in the kron chain
-    return functools.reduce(np.kron, reversed(mats))
-
-
 def dense_sector_operator(family: ElementaryFamily) -> np.ndarray:
     """Assemble (1/N) sum_alpha |phi_a><phi_a| (x) identity as a dense matrix."""
-    dims = family.dims
-    total_dim = math.prod(dims)
-    check_guard(total_dim**2, f"dense operator needs {total_dim}x{total_dim} entries")
-    out = np.zeros((total_dim, total_dim), dtype=np.complex128)
+    eyes = [np.eye(d, dtype=np.complex128) for d in family.dims]
+    what = f"dense operator over {family.n_sites} sites"
+    total = 0
     for alpha, phi in enumerate(family.phi):
-        out += _embed_site_operator(dims, alpha, np.outer(phi, phi.conj()))
-    return out / family.n_sites
+        total += kron_sites(eyes[:alpha] + [np.outer(phi, phi.conj())] + eyes[alpha + 1:], what)
+    return total / family.n_sites
 
 
 def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,

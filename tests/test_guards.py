@@ -39,7 +39,6 @@ from sectorsim.hilbert import (
     tensor_product,
 )
 from sectorsim.measurement import (
-    AMPLITUDE_BOUND_TOL,
     MeasurementSetup,
     PhotonPolarisation,
     density_terms,
@@ -52,7 +51,10 @@ from sectorsim.sector import (
     ElementaryFamily,
     ProductState,
     commutator_norm,
+    dense_action,
+    dense_product_state,
     dense_sector_operator,
+    sector_apply,
 )
 
 # constructor taking a flat list of complex components, and valid components
@@ -163,14 +165,14 @@ def _cli(*argv):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    eps=st.floats(min_value=0.0, max_value=min(ETA_TOL, AMPLITUDE_BOUND_TOL), exclude_min=True),
+    eps=st.floats(min_value=0.0, max_value=ETA_TOL, exclude_min=True),
     phase=st.floats(min_value=-math.pi, max_value=math.pi),
 )
 @example(eps=8e-13, phase=0.0)
 @example(eps=5e-13, phase=0.5273)  # here x / |x| lands an ulp outside the circle
 def test_amplitude_just_above_one_is_accepted_by_both_engines(eps, phase):
     x = cmath.rect(1.0 + eps, phase)
-    assume(1.0 < abs(x) <= 1.0 + min(ETA_TOL, AMPLITUDE_BOUND_TOL))
+    assume(1.0 < abs(x) <= 1.0 + ETA_TOL)
     assert abs(AvalancheParams(4, x, 2).eta) <= 1.0
     setup = MeasurementSetup(PhotonPolarisation(1.0, 0.0), x, x, 4, 4, 2)
     assert abs(setup.eta) <= 1.0
@@ -200,6 +202,11 @@ def _family(sites):
     return ElementaryFamily((np.array([1.0, 0.0]),) * sites)
 
 
+def _one_modification_action(sites):
+    state = ProductState((np.array([0.6, 0.8]),) + (np.array([1.0, 0.0]),) * (sites - 1))
+    return sector_apply(_family(sites), state)
+
+
 # each builds its (small) inputs, then returns the call that asks for ~2**20
 OVERSIZED = {
     "basis_state": lambda: functools.partial(_register, 20),
@@ -210,6 +217,9 @@ OVERSIZED = {
     "sector_parameter_expectation": lambda: functools.partial(
         sector_parameter_expectation, _setup(9, 9), 2, compute_direct=True),
     "density_terms": lambda: functools.partial(density_terms, _setup(20, 4), 2),
+    "dense_product_state": lambda: functools.partial(
+        dense_product_state, (np.array([1.0, 0.0]),) * 20),
+    "dense_action": lambda: functools.partial(dense_action, _one_modification_action(20)),
     "dense_sector_operator": lambda: functools.partial(dense_sector_operator, _family(10)),
     "commutator_norm": lambda: functools.partial(
         commutator_norm, _family(10), _family(10), method="dense"),

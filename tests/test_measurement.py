@@ -1,5 +1,6 @@
 """Polarisation measurement: excitation, cascade, pointer statistics, QND."""
 
+import cmath
 import math
 
 import numpy as np
@@ -42,6 +43,14 @@ TILTED = PhotonPolarisation(math.sqrt(0.7), math.sqrt(0.3))
 def small_setup(pol=TILTED, delta=0.5, eta=0.6, a_h=4, a_v=4, n_max=2):
     return MeasurementSetup(pol=pol, delta=delta, eta=eta,
                             n_dopants_h=a_h, n_dopants_v=a_v, n_max=n_max)
+
+
+@st.composite
+def unequal_registers(draw):
+    """(A_H, A_V, n): unequal register sizes and a depth >= 1 both hold."""
+    a_h = draw(st.integers(2, 5))
+    a_v = draw(st.integers(2, 5).filter(lambda a: a != a_h))
+    return a_h, a_v, draw(st.integers(1, min(a_h, a_v).bit_length() - 1))
 
 
 def branch_weights(setup, state):
@@ -302,6 +311,30 @@ class TestPointerExpectation:
         setup = small_setup(pol=TILTED, delta=0.7)
         rec = sector_parameter_expectation(setup, 2, compute_direct=True)
         assert abs(rec.expectation_direct) <= abs(0.7) ** 2 + 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sizes=unequal_registers(), eta=UNIT_DISC, delta=UNIT_DISC,
+           tilt=st.floats(0.0, math.pi / 2), phase_h=st.floats(-math.pi, math.pi),
+           phase_v=st.floats(-math.pi, math.pi))
+    @example(sizes=(2, 5, 1), eta=0.36 + 0.48j, delta=0.3 + 0.4j, tilt=0.6,
+             phase_h=0.9, phase_v=-2.0)
+    def test_unequal_registers_mirror(self, sizes, eta, delta, tilt, phase_h, phase_v):
+        """Swapping the photon's amplitudes and the register sizes negates
+        the pointer and swaps the diagonals, so a register mix-up shows."""
+        a_h, a_v, n = sizes
+        h = cmath.rect(math.cos(tilt), phase_h)
+        v = cmath.rect(math.sin(tilt), phase_v)
+        setup = small_setup(pol=PhotonPolarisation(h, v), delta=delta, eta=eta,
+                            a_h=a_h, a_v=a_v, n_max=n)
+        mirror = small_setup(pol=PhotonPolarisation(v, h), delta=delta, eta=eta,
+                             a_h=a_v, a_v=a_h, n_max=n)
+        rec = sector_parameter_expectation(setup, n, compute_direct=True)
+        rec_mirror = sector_parameter_expectation(mirror, n, compute_direct=True)
+        assert abs(rec.expectation_direct - rec.expectation_formula) <= 1e-12
+        assert abs(rec.expectation_direct + rec_mirror.expectation_direct) <= 1e-12
+        terms, terms_mirror = density_terms(setup, n), density_terms(mirror, n)
+        assert terms["h_diagonal"] == terms_mirror["v_diagonal"]
+        assert terms["v_diagonal"] == terms_mirror["h_diagonal"]
 
     def test_unknown_reference_rejected(self):
         with pytest.raises(ValueError):
