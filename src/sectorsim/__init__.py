@@ -2,128 +2,12 @@
 photon polarisation measurement, plus the sector-parameter observable
 algebra used to analyse it."""
 
-from .avalanche import (
-    EXCITED,
-    GROUND,
-    AvalancheParams,
-    StructuredAvalancheState,
-    ZBlockPartition,
-    block_ground_overlap,
-    dense_avalanche,
-    dense_ground_overlap,
-    dense_no_avalanche_overlap,
-    generation_pairs,
-    ground_register,
-    overlap_ground,
-    overlap_no_avalanche,
-    scattering_gate,
-    scattering_matrix,
-    seeded_register,
-    structured_amplitude,
-    structured_avalanche,
-)
-from .hilbert import (
-    DEFAULT_DIM_GUARD,
-    DenseState,
-    DimensionLimitError,
-    TwoSiteGate,
-    apply_two_site_gate,
-    basis_state,
-    dimension_guard,
-    flat_index,
-    inner_product,
-    tensor_product,
-)
-from .measurement import (
-    PHOTON_H,
-    PHOTON_V,
-    PHOTON_VAC,
-    MeasurementRecord,
-    MeasurementSetup,
-    PhotonPolarisation,
-    QndOutcome,
-    ScaleReport,
-    density_terms,
-    evolve,
-    initial_state,
-    photoexcite,
-    physical_scales,
-    qnd_outcome,
-    qnd_premeasure,
-    qnd_sample,
-    sector_parameter_expectation,
-)
-from .sector import (
-    ElementaryFamily,
-    ProductState,
-    SectorAction,
-    commutator_norm,
-    dense_action,
-    dense_product_state,
-    dense_sector_operator,
-    modified_fraction,
-    modified_sites,
-    sector_apply,
-    sector_expectation,
-)
+from . import avalanche, hilbert, measurement, sector
+from .avalanche import *
+from .hilbert import *
+from .measurement import *
+from .sector import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AvalancheParams",
-    "DenseState",
-    "DimensionLimitError",
-    "ElementaryFamily",
-    "MeasurementRecord",
-    "MeasurementSetup",
-    "PhotonPolarisation",
-    "ProductState",
-    "QndOutcome",
-    "ScaleReport",
-    "SectorAction",
-    "StructuredAvalancheState",
-    "TwoSiteGate",
-    "ZBlockPartition",
-    "apply_two_site_gate",
-    "basis_state",
-    "block_ground_overlap",
-    "commutator_norm",
-    "dense_action",
-    "dense_avalanche",
-    "dense_ground_overlap",
-    "dense_no_avalanche_overlap",
-    "dense_product_state",
-    "dense_sector_operator",
-    "density_terms",
-    "dimension_guard",
-    "evolve",
-    "flat_index",
-    "generation_pairs",
-    "ground_register",
-    "initial_state",
-    "inner_product",
-    "modified_fraction",
-    "modified_sites",
-    "overlap_ground",
-    "overlap_no_avalanche",
-    "photoexcite",
-    "physical_scales",
-    "qnd_outcome",
-    "qnd_premeasure",
-    "qnd_sample",
-    "scattering_gate",
-    "scattering_matrix",
-    "sector_apply",
-    "sector_expectation",
-    "sector_parameter_expectation",
-    "seeded_register",
-    "structured_amplitude",
-    "structured_avalanche",
-    "tensor_product",
-    "DEFAULT_DIM_GUARD",
-    "EXCITED",
-    "GROUND",
-    "PHOTON_H",
-    "PHOTON_V",
-    "PHOTON_VAC",
-]
+__all__ = avalanche.__all__ + hilbert.__all__ + measurement.__all__ + sector.__all__

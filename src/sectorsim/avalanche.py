@@ -64,6 +64,27 @@ from .hilbert import (
     flat_index,
 )
 
+__all__ = [
+    "EXCITED",
+    "GROUND",
+    "AvalancheParams",
+    "StructuredAvalancheState",
+    "ZBlockPartition",
+    "block_ground_overlap",
+    "dense_avalanche",
+    "dense_ground_overlap",
+    "dense_no_avalanche_overlap",
+    "generation_pairs",
+    "ground_register",
+    "overlap_ground",
+    "overlap_no_avalanche",
+    "scattering_gate",
+    "scattering_matrix",
+    "seeded_register",
+    "structured_amplitude",
+    "structured_avalanche",
+]
+
 GROUND = 0
 EXCITED = 1
 
@@ -198,10 +219,10 @@ class ZBlockPartition:
 
     ``levels[l]`` is the ascending range of block Z_l's electrons;
     electrons at and beyond 2**n form the untouched ``remainder``.  Ranges
-    keep the partition O(n) in time and memory at any depth.
+    keep the partition O(n) in time and memory at any depth.  The depth n
+    itself is ``StructuredAvalancheState.generation``.
     """
 
-    generation: int
     levels: tuple[range, ...]
     remainder: range
 
@@ -225,11 +246,7 @@ def structured_avalanche(params: AvalancheParams, n: int) -> StructuredAvalanche
     levels = (range(1),) + tuple(
         range(size >> l, size, size >> (l - 1)) for l in range(1, n + 1)
     )
-    partition = ZBlockPartition(
-        generation=n,
-        levels=levels,
-        remainder=range(size, params.n_dopants),
-    )
+    partition = ZBlockPartition(levels=levels, remainder=range(size, params.n_dopants))
     return StructuredAvalancheState(params=params, generation=n, partition=partition)
 
 

@@ -61,10 +61,6 @@ class ConfigError(ValueError):
     """Bad key, value, or combination in the experiment configuration."""
 
 
-class EngineDisagreementError(RuntimeError):
-    """The two engines disagreed beyond tolerance in ``both`` mode."""
-
-
 @dataclass
 class ExperimentConfig:
     kind: str = "oracle-check"
@@ -374,8 +370,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -392,10 +388,6 @@ def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:
     def clean(value):
         if isinstance(value, float) and math.isnan(value):
             return None
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
         return value
 
     payload = {
@@ -452,9 +444,6 @@ def main(argv=None) -> int:
             pairs[key.strip()] = value.strip()
         cfg = build_config(args.kind, pairs)
         records, disagreement = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DimensionLimitError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
         return 3

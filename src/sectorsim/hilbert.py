@@ -33,9 +33,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "DEFAULT_DIM_GUARD",
+    "DenseState",
+    "DimensionLimitError",
+    "TwoSiteGate",
+    "apply_two_site_gate",
+    "basis_state",
+    "dimension_guard",
+    "flat_index",
+    "inner_product",
+    "tensor_product",
+]
+
 DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
-NORM_TOL = 1e-10
 
 
 class DimensionLimitError(ValueError):

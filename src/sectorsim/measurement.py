@@ -28,6 +28,7 @@ reference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ from .avalanche import (
     _survival,
     apply_cascade,
     dense_avalanche,
+    dense_ground_overlap,
     ground_register,
     overlap_ground,
     overlap_no_avalanche,
@@ -54,6 +56,26 @@ from .hilbert import (
     inner_product,
     tensor_product,
 )
+
+__all__ = [
+    "PHOTON_H",
+    "PHOTON_V",
+    "PHOTON_VAC",
+    "MeasurementRecord",
+    "MeasurementSetup",
+    "PhotonPolarisation",
+    "QndOutcome",
+    "ScaleReport",
+    "density_terms",
+    "evolve",
+    "initial_state",
+    "photoexcite",
+    "physical_scales",
+    "qnd_outcome",
+    "qnd_premeasure",
+    "qnd_sample",
+    "sector_parameter_expectation",
+]
 
 PHOTON_VAC = 0
 PHOTON_H = 1
@@ -74,7 +96,10 @@ class PhotonPolarisation:
     def __post_init__(self):
         h = complex(self.h)
         v = complex(self.v)
-        drift = abs(abs(h) ** 2 + abs(v) ** 2 - 1.0)
+        try:
+            drift = abs(abs(h) ** 2 + abs(v) ** 2 - 1.0)
+        except OverflowError:  # |h| or |v| near the double-precision limit
+            drift = math.inf
         if not drift <= POLARISATION_NORM_TOL:
             raise ValueError(f"|h|^2 + |v|^2 must be 1, off by {drift:.3e}")
         object.__setattr__(self, "h", h)
@@ -245,10 +270,7 @@ def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     keep = _survival(delta)
     photon_vac = abs(inner_product(_photon_ket(pol), basis_state((3,), (PHOTON_VAC,))))
     click = [abs(amp * delta) for amp in (pol.h, pol.v)]
-    ground_cascade = [
-        abs(inner_product(ground_register(params.n_dopants), dense_avalanche(params, n)))
-        for params in setup.registers
-    ]
+    ground_cascade = [abs(dense_ground_overlap(params, n)) for params in setup.registers]
     cross = [c * keep * photon_vac * g for c, g in zip(click, ground_cascade)]
     return {
         "no_click_diagonal": float(keep ** 2),
@@ -330,10 +352,10 @@ def physical_scales(bias_voltage_v: float, gap_energy_ev: float, lattice_m: floa
     gap = float(gap_energy_ev)
     lattice = float(lattice_m)
     n_dopants = _integral(n_dopants, "register sizes")
-    if not all(0 < x < math.inf for x in (bias, gap, lattice)) or n_dopants < 1:
-        raise ValueError(
-            "bias, gap, lattice constant must be finite and positive and n_dopants >= 1"
-        )
+    if (not all(0 < x < math.inf for x in (bias, gap, lattice))
+            or not 1 <= n_dopants <= sys.float_info.max):
+        raise ValueError("bias, gap, lattice constant must be finite and positive "
+                         "and 1 <= n_dopants <= the largest double")
     l_over_a = gap / bias
     generations = bias / gap
     # 2.0 ** g raises OverflowError from g = 1024 on

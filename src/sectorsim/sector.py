@@ -26,6 +26,20 @@ import numpy as np
 
 from .hilbert import kron_sites
 
+__all__ = [
+    "ElementaryFamily",
+    "ProductState",
+    "SectorAction",
+    "commutator_norm",
+    "dense_action",
+    "dense_product_state",
+    "dense_sector_operator",
+    "modified_fraction",
+    "modified_sites",
+    "sector_apply",
+    "sector_expectation",
+]
+
 STATE_NORM_TOL = 1e-12
 MODIFIED_SITE_TOL = 1e-12
 _COEF_DROP_TOL = 1e-14
@@ -89,21 +103,16 @@ class SectorAction:
     terms: tuple[tuple[complex, ProductState], ...]
 
 
-def _check_compatible(family: ElementaryFamily, state: ProductState) -> None:
+def modified_sites(family: ElementaryFamily, state: ProductState) -> tuple[int, ...]:
+    """Indices where the state's site vector differs from the family's."""
     if family.dims != state.dims:
         raise ValueError(
             f"family sites {family.dims} do not match state sites {state.dims}"
         )
-
-
-def modified_sites(family: ElementaryFamily, state: ProductState,
-                   tol: float = MODIFIED_SITE_TOL) -> tuple[int, ...]:
-    """Indices where the state's site vector differs from the family's."""
-    _check_compatible(family, state)
     return tuple(
         alpha
         for alpha, (phi, psi) in enumerate(zip(family.phi, state.psi))
-        if np.max(np.abs(phi - psi)) > tol
+        if np.max(np.abs(phi - psi)) > MODIFIED_SITE_TOL
     )
 
 
@@ -114,7 +123,6 @@ def modified_fraction(family: ElementaryFamily, state: ProductState) -> float:
 
 def sector_expectation(family: ElementaryFamily, state: ProductState) -> float:
     """<Psi| X |Psi> = 1 + (1/N) sum over modified sites of (|<phi|psi>|^2 - 1)."""
-    _check_compatible(family, state)
     n = family.n_sites
     total = 1.0
     for alpha in modified_sites(family, state):
@@ -130,7 +138,6 @@ def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
     single-site replacement term per modified site; terms whose
     coefficient vanishes are dropped.
     """
-    _check_compatible(family, state)
     n = family.n_sites
     modified = modified_sites(family, state)
     terms: list[tuple[complex, ProductState]] = []
@@ -150,6 +157,8 @@ def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
 def dense_product_state(vectors) -> np.ndarray:
     """Flat amplitude vector of a product state, site 0 fastest-varying."""
     vecs = [np.ascontiguousarray(v, dtype=np.complex128) for v in vectors]
+    if not vecs or any(v.ndim != 1 for v in vecs):
+        raise ValueError("a product state needs one vector per site and at least one site")
     return kron_sites(vecs, f"product state over {len(vecs)} sites")
 
 

@@ -313,6 +313,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("avalanche-sweep", "--set", "eta_re=nan", "--set", "n_max=2"),
         ("measurement-sweep", "--set", "delta_re=nan"),
+        ("measurement-sweep", "--set", "h_re=1e200"),
+        ("qnd-demo", "--set", "h_re=1e200"),
     ])
     def test_nan_input_exits_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -328,6 +330,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("--set", "U=1e10"),
         ("--set", "U=1e-300", "--set", "Delta=1e300", "--set", "a=1e300"),
+        ("--set", "A=1" + "0" * 400),
     ])
     def test_overflowing_scale_exits_2(self, capsys, argv):
         code, _, err = run_cli(capsys, "scales", "--format", "json", *argv)

@@ -1,0 +1,37 @@
+"""The public name table: each module lists its own public names in
+``__all__`` and the package re-exports exactly their concatenation."""
+
+import importlib
+
+import sectorsim
+
+MODULES = tuple(importlib.import_module(f"sectorsim.{name}")
+                for name in ("avalanche", "hilbert", "measurement", "sector"))
+
+
+def test_package_table_is_the_module_tables_joined():
+    assert sectorsim.__all__ == [public for module in MODULES for public in module.__all__]
+    assert len(set(sectorsim.__all__)) == len(sectorsim.__all__)
+
+
+def test_every_name_resolves_to_its_module_object():
+    for module in MODULES:
+        for public in module.__all__:
+            obj = getattr(module, public)
+            assert getattr(sectorsim, public) is obj
+            if callable(obj):
+                assert obj.__module__ == module.__name__, public
+                assert obj.__name__ == public
+
+
+def test_star_import_binds_exactly_the_table():
+    namespace = {}
+    exec("from sectorsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(sectorsim.__all__)
+
+
+def test_helpers_stay_unexported():
+    for helper in ("kron_sites", "check_guard"):
+        assert helper not in sectorsim.__all__
+        assert not hasattr(sectorsim, helper)

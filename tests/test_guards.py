@@ -240,3 +240,26 @@ def test_oversized_dense_request_refused_before_allocating(name, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# each would overflow double precision inside the check meant to reject it
+OVERFLOWING = {
+    "PhotonPolarisation": lambda: PhotonPolarisation(1e200, 0),
+    "physical_scales": lambda: physical_scales(2.0, 0.5, 1e-6, 10**400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_input_is_rejected(name):
+    with pytest.raises(ValueError):
+        OVERFLOWING[name]()
+
+
+@pytest.mark.parametrize("vectors", [
+    [],
+    [np.eye(2)],
+    [np.array([1.0, 0.0]), np.eye(2)],
+], ids=["no_sites", "matrix", "vector_then_matrix"])
+def test_dense_product_state_needs_one_vector_per_site(vectors):
+    with pytest.raises(ValueError, match="one vector per site"):
+        dense_product_state(vectors)
