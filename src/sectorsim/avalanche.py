@@ -50,7 +50,9 @@ touched labels and costs O(2**n).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,8 @@ from .hilbert import (
     _integral,
     apply_two_site_gate,
     basis_state,
+    check_guard,
+    dimension_guard,
     flat_index,
 )
 
@@ -179,32 +183,57 @@ def generation_pairs(n: int) -> list[tuple[int, int]]:
     return [(k, k + half) for k in range(half)]
 
 
+def _register_size(n_dopants: int) -> int:
+    """``n_dopants`` as an int, refused beyond the dimension guard before
+    any per-site tuple is built."""
+    n_dopants = _integral(n_dopants, "register sizes")
+    # 2**n exceeds the cap exactly when n >= cap.bit_length(), so a huge
+    # size is compared through its exponent and 2**n is never formed
+    exponent = min(n_dopants, dimension_guard().bit_length())
+    check_guard(2 ** exponent, f"a register of {n_dopants} electrons needs "
+                               f"2**{n_dopants} amplitudes")
+    return n_dopants
+
+
 def ground_register(n_dopants: int) -> DenseState:
     """All-ground register state."""
-    n_dopants = _integral(n_dopants, "register sizes")
+    n_dopants = _register_size(n_dopants)
     return basis_state((2,) * n_dopants, (GROUND,) * n_dopants)
 
 
 def seeded_register(n_dopants: int) -> DenseState:
     """Register with the seed electron (site 0) excited, rest ground."""
-    n_dopants = _integral(n_dopants, "register sizes")
+    n_dopants = _register_size(n_dopants)
     return basis_state((2,) * n_dopants, (EXCITED,) + (GROUND,) * (n_dopants - 1))
 
 
-def apply_cascade(state: DenseState, eta: complex, n: int, offsets: tuple[int, ...]) -> DenseState:
-    """Run generations 1..n of the collision schedule on a dense state.
+def cascade_generations(state: DenseState, eta: complex, n: int,
+                        offsets: tuple[int, ...]) -> Iterator[DenseState]:
+    """Yield ``state`` after generations 0, 1, ..., n of the collision
+    schedule, each built from the one before.
 
     ``offsets`` holds the site index of each register's electron 0; every
     collision pair fires in each register in ``offsets`` order before the
-    next pair.
+    next pair.  Only the latest generation is held here, so a caller that
+    drops each yielded state before asking for the next keeps one
+    generation alive, as a rebuild from generation 0 would.
     """
+    yield state
     for g in range(1, n + 1):
         for exciter, partner in generation_pairs(g):
             for offset in offsets:
                 state = apply_two_site_gate(
                     state, scattering_gate(eta, offset + exciter, offset + partner)
                 )
-    return state
+        yield state
+
+
+def apply_cascade(state: DenseState, eta: complex, n: int, offsets: tuple[int, ...]) -> DenseState:
+    """Run generations 1..n of the collision schedule on a dense state."""
+    generations = cascade_generations(state, eta, n, offsets)
+    del state  # the generator holds the input only until its first gate
+    # islice drops generations 0..n-1 as it passes them
+    return next(itertools.islice(generations, n, None))
 
 
 def dense_avalanche(params: AvalancheParams, n: int) -> DenseState:
@@ -331,14 +360,22 @@ def overlap_ground(params: AvalancheParams, n: int) -> complex:
     return 0j
 
 
+def _seed_only_amplitude(state: DenseState) -> complex:
+    """Amplitude of the seed excited and every other electron ground."""
+    labels = (EXCITED,) + (GROUND,) * (state.n_sites - 1)
+    return complex(state.amps[flat_index(state.dims, labels)])
+
+
+def _all_ground_amplitude(state: DenseState) -> complex:
+    """Amplitude of every electron ground."""
+    return complex(state.amps[0])
+
+
 def dense_no_avalanche_overlap(params: AvalancheParams, n: int) -> complex:
     """Dense-engine twin of :func:`overlap_no_avalanche` (oracle route)."""
-    state = dense_avalanche(params, n)
-    labels = (EXCITED,) + (GROUND,) * (params.n_dopants - 1)
-    return complex(state.amps[flat_index(state.dims, labels)])
+    return _seed_only_amplitude(dense_avalanche(params, n))
 
 
 def dense_ground_overlap(params: AvalancheParams, n: int) -> complex:
     """Dense-engine twin of :func:`overlap_ground` (oracle route)."""
-    state = dense_avalanche(params, n)
-    return complex(state.amps[0])
+    return _all_ground_amplitude(dense_avalanche(params, n))

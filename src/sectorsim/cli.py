@@ -24,15 +24,17 @@ import numpy as np
 
 from .avalanche import (
     AvalancheParams,
-    dense_avalanche,
-    dense_ground_overlap,
+    _all_ground_amplitude,
+    _seed_only_amplitude,
+    cascade_generations,
     dense_no_avalanche_overlap,
     overlap_ground,
     overlap_no_avalanche,
+    seeded_register,
     structured_amplitude,
     structured_avalanche,
 )
-from .hilbert import DimensionLimitError
+from .hilbert import DenseState, DimensionLimitError
 from .measurement import (
     REFERENCES,
     MeasurementSetup,
@@ -40,7 +42,7 @@ from .measurement import (
     physical_scales,
     qnd_outcome,
     qnd_sample,
-    sector_parameter_expectation,
+    sector_parameter_sweep,
 )
 from .sector import (
     ElementaryFamily,
@@ -181,13 +183,11 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> list[dict]:
     )
     want_direct = cfg.engine in ("dense", "both")
     records = []
-    for n in range(cfg.n_max + 1):
-        rec = sector_parameter_expectation(
-            setup, n, reference=cfg.reference, compute_direct=want_direct
-        )
+    for rec in sector_parameter_sweep(setup, reference=cfg.reference,
+                                      compute_direct=want_direct):
         direct = math.nan if rec.expectation_direct is None else rec.expectation_direct
         records.append({
-            "n": n,
+            "n": rec.n,
             "M": rec.m_electrons,
             "overlap_abs": abs(rec.overlap_h * rec.overlap_v),
             "expectation_direct": direct,
@@ -255,18 +255,15 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
     for n_dopants in (4, 6, 8):
         # row idx holds the labels of flat index idx, electron 0 fastest
         every_config = (np.arange(1 << n_dopants)[:, None] >> np.arange(n_dopants)) & 1
-        for n in range(4):
-            if (1 << n) > n_dopants:
-                continue
-            for eta in (0.0, 0.3, 0.6, 1.0):
-                params = AvalancheParams(n_dopants, eta, n)
-                dense = dense_avalanche(params, n)
-                st = structured_avalanche(params, n)
-                errors.append(np.max(np.abs(dense.amps - structured_amplitude(st, every_config))))
+        deepest = min(3, n_dopants.bit_length() - 1)  # 2**n <= n_dopants
+        for eta in (0.0, 0.3, 0.6, 1.0):
+            # one dense cascade per register and eta, read at every generation
+            params = AvalancheParams(n_dopants, eta, deepest)
+            generations = cascade_generations(seeded_register(n_dopants), params.eta,
+                                              deepest, (0,))
+            for n in range(deepest + 1):
+                errors += _cascade_errors(params, n, next(generations), every_config)
                 cases += len(every_config)
-                errors.append(abs(overlap_no_avalanche(params, n)
-                                  - dense_no_avalanche_overlap(params, n)))
-                errors.append(abs(overlap_ground(params, n) - dense_ground_overlap(params, n)))
     records.append(_check_row("cascade_engines", cases, errors, 1e-12))
 
     # sector algebra against the dense operator
@@ -315,12 +312,20 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
             pol = PhotonPolarisation(math.sqrt(h_sq), math.sqrt(1.0 - h_sq))
             setup = MeasurementSetup(pol=pol, delta=delta, eta=0.6,
                                      n_dopants_h=4, n_dopants_v=4, n_max=2)
-            for n in range(3):
-                rec = sector_parameter_expectation(setup, n, compute_direct=True)
+            for rec in sector_parameter_sweep(setup, compute_direct=True):
                 errors.append(abs(rec.expectation_direct - rec.expectation_formula))
                 cases += 1
     records.append(_check_row("measurement_pointer", cases, errors, 1e-10))
     return records
+
+
+def _cascade_errors(params: AvalancheParams, n: int, dense: DenseState,
+                    every_config: np.ndarray) -> list[float]:
+    """Generation n's structured amplitudes and overlaps against its dense state."""
+    st = structured_avalanche(params, n)
+    return [np.max(np.abs(dense.amps - structured_amplitude(st, every_config))),
+            abs(overlap_no_avalanche(params, n) - _seed_only_amplitude(dense)),
+            abs(overlap_ground(params, n) - _all_ground_amplitude(dense))]
 
 
 def _worst(errors: list[float]) -> float:

@@ -23,6 +23,13 @@ instead tracks the seeded-but-frozen register overlap, giving the factor
 1 - (1-|eta|^2)**(2n) that converges to the same limit as n grows.  Both
 storylines are reported side by side and agree only under the ground
 reference.
+
+A sweep over generations 0..n_max (``sector_parameter_sweep``, which the
+CLI's measurement sweep and oracle check use) carries each dense state
+from one generation to the next: it photoexcites once, then advances the
+joint state and the two cascaded pointer registers one generation at a
+time, applying the same gates in the same order as a rebuild from
+generation 0, so its records equal the per-n ones bit for bit.
 """
 
 from __future__ import annotations
@@ -40,11 +47,13 @@ from .avalanche import (
     _rotation,
     _survival,
     apply_cascade,
+    cascade_generations,
     dense_avalanche,
     dense_ground_overlap,
     ground_register,
     overlap_ground,
     overlap_no_avalanche,
+    seeded_register,
 )
 from .hilbert import (
     DenseState,
@@ -203,18 +212,51 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
     equals seeding only the clicked register.
     """
     n = _check_generation(setup.registers[0], n)
-    state = photoexcite(setup, initial_state(setup))
-    return apply_cascade(state, setup.eta, n, offsets=setup.seed_sites)
+    return apply_cascade(photoexcite(setup, initial_state(setup)), setup.eta, n,
+                         offsets=setup.seed_sites)
 
 
-def _pointer_ket(setup: MeasurementSetup, n: int, port: int) -> DenseState:
-    """|vacuum photon> (x) cascaded register ``port`` (0 = H, 1 = V) (x) ground other register."""
+def _pointer_ket(setup: MeasurementSetup, register: DenseState, port: int) -> DenseState:
+    """|vacuum photon> (x) the cascaded ``register`` at ``port`` (0 = H, 1 = V),
+    (x) the ground state at the other port."""
     state = basis_state((3,), (PHOTON_VAC,))
     for index, params in enumerate(setup.registers):
-        register = (dense_avalanche(params, n) if index == port
-                    else ground_register(params.n_dopants))
-        state = tensor_product(state, register)
+        state = tensor_product(
+            state, register if index == port else ground_register(params.n_dopants))
     return state
+
+
+def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) -> float:
+    """Dense sandwich <psi| P |psi>, ``registers`` holding the H and V
+    registers cascaded to psi's generation."""
+    amp_h, amp_v = (inner_product(_pointer_ket(setup, register, port), psi)
+                    for port, register in enumerate(registers))
+    return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
+
+
+def _check_reference(reference: str) -> None:
+    if reference not in REFERENCES:
+        raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
+
+
+def _record(setup: MeasurementSetup, n: int, reference: str,
+            direct: float | None) -> MeasurementRecord:
+    """Generation n's record: the O(n) structured formula beside ``direct``."""
+    overlap = overlap_ground if reference == "ground" else overlap_no_avalanche
+    x_h, x_v = (overlap(params, n) for params in setup.registers)
+    pol = setup.pol
+    contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
+    formula = contrast * (1.0 - abs(x_h * x_v) ** 2)
+    return MeasurementRecord(
+        n=n,
+        m_electrons=1 << n,
+        expectation_direct=direct,
+        expectation_formula=float(formula),
+        overlap_h=complex(x_h),
+        overlap_v=complex(x_v),
+        limit=float(contrast),
+        reference=reference,
+    )
 
 
 def sector_parameter_expectation(
@@ -231,28 +273,39 @@ def sector_parameter_expectation(
     guard; the guard only refuses, it never picks the route.
     """
     n = _check_generation(setup.registers[0], n)
-    if reference not in REFERENCES:
-        raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
-    overlap = overlap_ground if reference == "ground" else overlap_no_avalanche
-    x_h, x_v = (overlap(params, n) for params in setup.registers)
-    pol = setup.pol
-    contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
-    formula = contrast * (1.0 - abs(x_h * x_v) ** 2)
+    _check_reference(reference)
     direct = None
     if compute_direct:
-        psi = evolve(setup, n)
-        amp_h, amp_v = (inner_product(_pointer_ket(setup, n, port), psi) for port in (0, 1))
-        direct = float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
-    return MeasurementRecord(
-        n=n,
-        m_electrons=1 << n,
-        expectation_direct=direct,
-        expectation_formula=float(formula),
-        overlap_h=complex(x_h),
-        overlap_v=complex(x_v),
-        limit=float(contrast),
-        reference=reference,
-    )
+        direct = _pointer_expectation(
+            setup, evolve(setup, n), [dense_avalanche(params, n) for params in setup.registers])
+    return _record(setup, n, reference, direct)
+
+
+def sector_parameter_sweep(
+    setup: MeasurementSetup,
+    reference: str = "ground",
+    compute_direct: bool = False,
+) -> list[MeasurementRecord]:
+    """:func:`sector_parameter_expectation` records for generations 0..n_max.
+
+    The dense route photoexcites once, then carries the joint state and
+    both cascaded pointer registers forward one generation at a time, with
+    the gates a rebuild would apply in the same order, so every record
+    equals its per-n twin bit for bit.
+    """
+    _check_reference(reference)
+    generations = range(setup.n_max + 1)
+    if not compute_direct:
+        return [_record(setup, n, reference, None) for n in generations]
+    joint = cascade_generations(photoexcite(setup, initial_state(setup)), setup.eta,
+                                setup.n_max, setup.seed_sites)
+    pointers = [cascade_generations(seeded_register(params.n_dopants), params.eta,
+                                    params.n_max, (0,)) for params in setup.registers]
+    # each state goes straight into the sandwich and is bound to no name, so
+    # no generation is held here while the next one is built
+    return [_record(setup, n, reference, _pointer_expectation(
+                setup, next(joint), [next(register) for register in pointers]))
+            for n in generations]
 
 
 def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:

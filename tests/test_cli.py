@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorsim import cli
+from sectorsim.hilbert import dimension_guard
 from sectorsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -292,6 +293,15 @@ class TestExitCodes:
                                "--set", "engine=dense")
         assert code == 3
         assert "dimension guard" in err
+
+    @pytest.mark.parametrize("key", ["A", "A_H"])
+    def test_oversized_register_exits_3(self, capsys, key):
+        kind = "avalanche-sweep" if key == "A" else "measurement-sweep"
+        code, _, err = run_cli(capsys, kind, "--set", f"{key}=1" + "0" * 400,
+                               "--set", "engine=dense")
+        assert code == 3
+        assert "dimension guard" in err
+        assert err.rstrip().endswith(f"guard is {dimension_guard()}")
 
     def test_engine_disagreement_exits_4(self, capsys):
         # The no-avalanche reference formula deliberately differs from the

@@ -225,6 +225,11 @@ OVERSIZED = {
         commutator_norm, _family(10), _family(10), method="dense"),
     "qnd_sample": lambda: functools.partial(
         qnd_sample, PhotonPolarisation(1.0, 0.0), 1 << 20, 7),
+    # registers whose per-site tuple alone would take 80 MB
+    "ground_register_1e7": lambda: functools.partial(ground_register, 10**7),
+    "seeded_register_1e7": lambda: functools.partial(seeded_register, 10**7),
+    "dense_avalanche_1e7": lambda: functools.partial(
+        dense_avalanche, AvalancheParams(10**7, 0.6, 2), 2),
 }
 
 
