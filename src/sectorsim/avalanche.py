@@ -64,7 +64,6 @@ from .hilbert import (
     apply_two_site_gate,
     basis_state,
     check_guard,
-    dimension_guard,
     flat_index,
 )
 
@@ -187,11 +186,8 @@ def _register_size(n_dopants: int) -> int:
     """``n_dopants`` as an int, refused beyond the dimension guard before
     any per-site tuple is built."""
     n_dopants = _integral(n_dopants, "register sizes")
-    # 2**n exceeds the cap exactly when n >= cap.bit_length(), so a huge
-    # size is compared through its exponent and 2**n is never formed
-    exponent = min(n_dopants, dimension_guard().bit_length())
-    check_guard(2 ** exponent, f"a register of {n_dopants} electrons needs "
-                               f"2**{n_dopants} amplitudes")
+    check_guard((2 for _ in range(n_dopants)),
+                f"a register of {n_dopants} electrons needs 2**{n_dopants} amplitudes")
     return n_dopants
 
 

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -287,35 +287,24 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
         cases += 1
     records.append(_check_row("sector_algebra", cases, errors, 1e-12))
 
-    # commutator 1/N law, analytic against dense
-    errors = []
+    # commutator 1/N law: the sector-commutator sweep on tilted qubits, whose
+    # rows compare analytic with dense, and N * norm held at its N = 2 value
     t = 1.0 / math.sqrt(2.0)
-    tilted = np.array([t, t], dtype=np.complex128)
-    base = np.array([1.0, 0.0], dtype=np.complex128)
-    reference_product = None
-    for n_sites in (2, 3, 4, 5):
-        family_a = ElementaryFamily(tuple(base for _ in range(n_sites)))
-        family_b = ElementaryFamily(tuple(tilted for _ in range(n_sites)))
-        dense = commutator_norm(family_a, family_b, method="dense")
-        analytic = commutator_norm(family_a, family_b, method="analytic")
-        errors.append(abs(dense - analytic))
-        if reference_product is None:
-            reference_product = dense * n_sites
-        errors.append(abs(dense * n_sites - reference_product))
-    records.append(_check_row("commutator_decay", 4, errors, 1e-10))
+    rows = _run_sector_commutator(replace(cfg, h_re=t, h_im=0.0, v_re=t, v_im=0.0, N=5,
+                                          engine="both"))
+    errors = [r["abs_diff"] for r in rows]
+    errors += [abs(r["N"] * r["dense_norm"] - 2 * rows[0]["dense_norm"]) for r in rows]
+    records.append(_check_row("commutator_decay", len(rows), errors, 1e-10))
 
-    # measurement: dense sandwich against the closed form (ground reference)
-    errors = []
-    cases = 0
-    for delta in (0.6, 1.0):
-        for h_sq in (0.3, 1.0):
-            pol = PhotonPolarisation(math.sqrt(h_sq), math.sqrt(1.0 - h_sq))
-            setup = MeasurementSetup(pol=pol, delta=delta, eta=0.6,
-                                     n_dopants_h=4, n_dopants_v=4, n_max=2)
-            for rec in sector_parameter_sweep(setup, compute_direct=True):
-                errors.append(abs(rec.expectation_direct - rec.expectation_formula))
-                cases += 1
-    records.append(_check_row("measurement_pointer", cases, errors, 1e-10))
+    # measurement: the measurement sweep's dense sandwich against the closed
+    # form (ground reference), one replace per (delta, |h|^2) point
+    points = [replace(cfg, h_re=math.sqrt(h_sq), h_im=0.0, v_re=math.sqrt(1.0 - h_sq),
+                      v_im=0.0, delta_re=delta, delta_im=0.0, eta_re=0.6, eta_im=0.0,
+                      A_H=4, A_V=4, n_max=2, engine="both", reference="ground")
+              for delta in (0.6, 1.0) for h_sq in (0.3, 1.0)]
+    rows = [row for point in points for row in _run_measurement_sweep(point)]
+    records.append(_check_row("measurement_pointer", len(rows),
+                              [r["abs_diff"] for r in rows], 1e-10))
     return records
 
 
@@ -403,15 +392,8 @@ def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:
 
 
 def emit(records: list[dict], fmt: str, path: str, cfg: ExperimentConfig) -> None:
-    """Serialise records deterministically (floats at 17 significant digits)."""
-    if not records:
-        raise ConfigError("experiment produced no records")
-    if fmt == "csv":
-        text = _render_csv(records)
-    elif fmt == "json":
-        text = _render_json(records, cfg)
-    else:
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+    """Serialise records deterministically as csv or json (floats at 17 significant digits)."""
+    text = _render_csv(records) if fmt == "csv" else _render_json(records, cfg)
     if not path or path == "-":
         sys.stdout.write(text)
         return
@@ -458,9 +440,6 @@ def main(argv=None) -> int:
     out_path = args.out if args.out is not None else cfg.output_path
     try:
         emit(records, args.format, out_path, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 5

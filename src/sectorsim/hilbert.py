@@ -20,7 +20,9 @@ default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
 control of that cap, and ``check_guard`` is the one place that compares a
 size against it: every dense amplitude vector, dense operator and sample
 batch in the package is checked there before it is allocated, so an
-accidental large request fails fast instead of paging.
+accidental large request fails fast instead of paging.  It multiplies a
+size's factors in order and refuses as soon as the running product passes
+the cap, so however many the factors, it never forms the full product.
 """
 
 from __future__ import annotations
@@ -68,21 +70,26 @@ def dimension_guard() -> int:
     return value
 
 
-def check_guard(count: int, what: str) -> None:
-    """Refuse a dense request of ``count`` numbers beyond the guard.
+def check_guard(sizes, what: str) -> int:
+    """Product of the non-negative ints ``sizes``, multiplied in order and
+    refused as soon as the running product passes the guard.
 
+    ``sizes`` may be lazy; no factor after the refusing one is read.
     ``what`` describes the request; the error reads "<what>, guard is <cap>".
     """
     limit = dimension_guard()
-    if count > limit:
-        raise DimensionLimitError(f"{what}, guard is {limit}")
+    total = 1
+    for size in sizes:
+        total *= size
+        if total > limit:
+            raise DimensionLimitError(f"{what}, guard is {limit}")
+    return total
 
 
 def kron_sites(factors, what: str) -> np.ndarray:
     """Kronecker product of one vector or one square matrix per site, site 0
     fastest-varying; ``what`` names the request in a guard refusal."""
-    count = math.prod(f.size for f in factors)
-    check_guard(count, f"{what} needs {count} entries")
+    check_guard((f.size for f in factors), f"{what} needs too many entries")
     # kron's second factor varies fastest, so fold from the last site down
     return functools.reduce(np.kron, reversed(factors))
 
@@ -100,15 +107,14 @@ def _integral(value, what: str) -> int:
     return int(as_float)
 
 
-def _checked_dims(dims) -> tuple[int, ...]:
+def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
+    """Validated site dimensions and the amplitude count they span."""
     dims = tuple(_integral(d, "site dimensions") for d in dims)
     if not dims:
         raise ValueError("a state needs at least one site")
     if any(d < 2 for d in dims):
         raise ValueError(f"every site dimension must be >= 2, got {dims}")
-    total = math.prod(dims)
-    check_guard(total, f"requested {total} amplitudes over {len(dims)} sites")
-    return dims
+    return dims, check_guard(dims, f"a state over {len(dims)} sites needs too many amplitudes")
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,11 @@ class DenseState:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = _checked_dims(self.dims)
+        dims, size = _checked_dims(self.dims)
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        if amps.shape != (math.prod(dims),):
+        if amps.shape != (size,):
             raise ValueError(
-                f"amplitude vector has shape {amps.shape}, dims {dims} need "
-                f"({math.prod(dims)},)"
+                f"amplitude vector has shape {amps.shape}, dims {dims} need ({size},)"
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
@@ -184,8 +189,8 @@ def flat_index(dims, labels) -> int:
 
 def basis_state(dims, labels) -> DenseState:
     """Computational basis state with the given per-site labels."""
-    dims = _checked_dims(dims)
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
+    dims, size = _checked_dims(dims)
+    amps = np.zeros(size, dtype=np.complex128)
     amps[flat_index(dims, labels)] = 1.0
     return DenseState(dims, amps)
 

@@ -373,7 +373,7 @@ def qnd_sample(pol: PhotonPolarisation, shots: int, seed: int) -> dict[str, int]
     shots = _integral(shots, "shot counts")
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    check_guard(shots, f"{shots} shots draw {shots} numbers")
+    check_guard((shots,), f"{shots} shots draw {shots} numbers")
     rng = np.random.default_rng(seed)
     n_h = int(np.count_nonzero(rng.random(shots) < abs(pol.h) ** 2))
     return {"H": n_h, "V": shots - n_h}

@@ -157,8 +157,9 @@ def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
 def dense_product_state(vectors) -> np.ndarray:
     """Flat amplitude vector of a product state, site 0 fastest-varying."""
     vecs = [np.ascontiguousarray(v, dtype=np.complex128) for v in vectors]
-    if not vecs or any(v.ndim != 1 for v in vecs):
-        raise ValueError("a product state needs one vector per site and at least one site")
+    if not vecs or any(v.ndim != 1 or v.size == 0 for v in vecs):
+        raise ValueError("a product state needs one vector per site, none empty, "
+                         "and at least one site")
     return kron_sites(vecs, f"product state over {len(vecs)} sites")
 
 

@@ -214,6 +214,17 @@ class TestOtherKinds:
         assert status["cascade_engines"] == "fail"
         assert "engine disagreement" in err
 
+    def test_oracle_check_ignores_user_keys(self, capsys):
+        # every check fixes each key its sweep reads, so only the seed
+        # reaches the oracle
+        overrides = ["reference=no_avalanche", "engine=structured", "A_H=2", "A_V=3",
+                     "n_max=1", "h_re=0", "v_re=1", "delta_re=0.2", "eta_re=0.1",
+                     "eta_im=0.2", "N=9"]
+        plain = run_cli(capsys, "oracle-check", "--set", "seed=3")
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        assert run_cli(capsys, "oracle-check", "--set", "seed=3", *sets) == plain
+        assert plain[0] == 0
+
 
 class TestRendering:
     def test_csv_floats_round_trip_exactly(self, capsys):
@@ -356,6 +367,12 @@ class TestExitCodes:
     def test_bad_set_syntax_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "avalanche-sweep", "--set", "eta_re")
         assert code == 2
+
+    def test_runner_bug_raises_instead_of_exiting_2(self, monkeypatch):
+        # a runner returning no records is a program bug, not bad input
+        monkeypatch.setitem(cli._RUNNERS, "scales", lambda cfg: [])
+        with pytest.raises(IndexError):
+            main(["scales"])
 
 
 FLOAT_KEYS = sorted(k for k, kind in get_type_hints(ExperimentConfig).items() if kind is float)

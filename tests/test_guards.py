@@ -32,6 +32,7 @@ from sectorsim.avalanche import (
 )
 from sectorsim.cli import main
 from sectorsim.hilbert import (
+    DenseState,
     DimensionLimitError,
     TwoSiteGate,
     basis_state,
@@ -230,6 +231,11 @@ OVERSIZED = {
     "seeded_register_1e7": lambda: functools.partial(seeded_register, 10**7),
     "dense_avalanche_1e7": lambda: functools.partial(
         dense_avalanche, AvalancheParams(10**7, 0.6, 2), 2),
+    # site lists whose full size has more than 4300 digits
+    "basis_state_20000_sites": lambda: functools.partial(
+        basis_state, (2,) * 20000, (0,) * 20000),
+    "DenseState_20000_sites": lambda: functools.partial(
+        DenseState, (2,) * 20000, np.zeros(2)),
 }
 
 
@@ -264,7 +270,9 @@ def test_overflowing_input_is_rejected(name):
     [],
     [np.eye(2)],
     [np.array([1.0, 0.0]), np.eye(2)],
-], ids=["no_sites", "matrix", "vector_then_matrix"])
+    [np.zeros(0)],
+    [np.ones(2)] * 12 + [np.zeros(0)],
+], ids=["no_sites", "matrix", "vector_then_matrix", "empty", "empty_after_twelve"])
 def test_dense_product_state_needs_one_vector_per_site(vectors):
     with pytest.raises(ValueError, match="one vector per site"):
         dense_product_state(vectors)
