@@ -280,8 +280,8 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
 
     ``labels`` holds one 0/1 entry per dopant electron, shape ``(A,)`` for
     one configuration (returns a complex) or ``(B, A)`` for a batch
-    (returns B amplitudes).  Exact for every configuration: agrees with
-    the dense engine amplitude by amplitude.
+    (returns B amplitudes).  Exact for every configuration, though a row's
+    last bit can differ between a 1-D call and the same row in a batch.
 
     Generations n, n-1, ..., 1 fold each partner's subtree into its
     exciter, latest first, so every exciter multiplies in its children in

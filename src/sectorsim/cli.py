@@ -233,17 +233,8 @@ def _run_qnd_demo(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_scales(cfg: ExperimentConfig) -> list[dict]:
     report = physical_scales(cfg.U, cfg.Delta, cfg.a, cfg.A)
-    return [{
-        "bias_voltage_v": cfg.U,
-        "gap_energy_ev": cfg.Delta,
-        "lattice_m": cfg.a,
-        "n_dopants": cfg.A,
-        "l_over_a": report.l_over_a,
-        "mean_free_path_m": report.mean_free_path_m,
-        "generations": report.generations,
-        "cascade_electrons": report.cascade_electrons,
-        "work_ev": report.work_ev,
-    }]
+    return [{"bias_voltage_v": cfg.U, "gap_energy_ev": cfg.Delta, "lattice_m": cfg.a,
+             "n_dopants": cfg.A, **asdict(report)}]
 
 
 def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:

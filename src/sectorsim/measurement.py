@@ -216,21 +216,15 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
                          offsets=setup.seed_sites)
 
 
-def _pointer_ket(setup: MeasurementSetup, register: DenseState, port: int) -> DenseState:
-    """|vacuum photon> (x) the cascaded ``register`` at ``port`` (0 = H, 1 = V),
-    (x) the ground state at the other port."""
-    state = basis_state((3,), (PHOTON_VAC,))
-    for index, params in enumerate(setup.registers):
-        state = tensor_product(
-            state, register if index == port else ground_register(params.n_dopants))
-    return state
-
-
 def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) -> float:
     """Dense sandwich <psi| P |psi>, ``registers`` holding the H and V
-    registers cascaded to psi's generation."""
-    amp_h, amp_v = (inner_product(_pointer_ket(setup, register, port), psi)
-                    for port, register in enumerate(registers))
+    registers cascaded to psi's generation.  Each pointer ket, vacuum (x) one
+    cascaded register (x) the other port's ground state, goes straight into
+    its inner product, so only one is alive at a time."""
+    vacuum = basis_state((3,), (PHOTON_VAC,))
+    ground_h, ground_v = (ground_register(params.n_dopants) for params in setup.registers)
+    amp_h = inner_product(tensor_product(tensor_product(vacuum, registers[0]), ground_v), psi)
+    amp_v = inner_product(tensor_product(tensor_product(vacuum, ground_h), registers[1]), psi)
     return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
 
 

@@ -1,5 +1,6 @@
 """Cascade engines: collision gate, schedule, block structure, overlaps."""
 
+import cmath
 import math
 import time
 import tracemalloc
@@ -210,9 +211,9 @@ def broadcast_ones_fold(params, n, batch):
 
 
 @st.composite
-def label_batches(draw):
+def label_batches(draw, max_dopants=12):
     """(A, n, labels): free rows and rows the cascade can reach."""
-    n_dopants = draw(st.integers(1, 12))
+    n_dopants = draw(st.integers(1, max_dopants))
     n = draw(st.integers(0, n_dopants.bit_length() - 1))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -275,6 +276,18 @@ class TestStructuredAmplitude:
             single = structured_amplitude(st, labels[idx])
             assert isinstance(single, complex)
             assert abs(single - batch[idx]) <= 1e-15 * abs(batch[idx])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eta=UNIT_DISC, case=label_batches(max_dopants=16))
+    @example(eta=cmath.rect(1.0, 0.5),
+             case=(6, 2, np.array([[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]], dtype=np.uint8)))
+    def test_single_row_matches_its_batch_row(self, eta, case):
+        # the last bit may depend on the call shape (see structured_amplitude)
+        n_dopants, n, batch = case
+        st = structured_avalanche(AvalancheParams(n_dopants, eta, n), n)
+        amps = structured_amplitude(st, batch)
+        for row, amp in zip(batch, amps):
+            assert abs(structured_amplitude(st, row) - amp) <= 1e-15 * abs(amp)
 
     def test_label_validation(self):
         st = structured_avalanche(AvalancheParams(4, 0.6, 1), 1)

@@ -142,6 +142,21 @@ class TestMeasurementSweep:
         assert all(rec["expectation_direct"] is None
                    for rec in payload["records"])
 
+    @pytest.mark.parametrize("engine", ["structured", "dense"])
+    def test_no_avalanche_overlap_column_is_joint_survival(self, capsys, engine):
+        # the column is |x_H x_V|, each x being (1 - |eta|^2)**(n/2)
+        code, out, _ = run_cli(capsys, "measurement-sweep",
+                               "--set", "reference=no_avalanche", "--set", "A_H=4",
+                               "--set", "A_V=8", "--set", "n_max=2",
+                               "--set", "eta_re=0.36", "--set", "eta_im=0.48",
+                               "--set", f"engine={engine}")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [r["n"] for r in rows] == ["0", "1", "2"]
+        for row in rows:
+            expected = 0.64 ** int(row["n"])
+            assert abs(float(row["overlap_abs"]) - expected) <= 1e-12 * expected
+
     def test_both_mode_direct_matches_dense_only_run(self, capsys):
         overrides = ["--set", "delta_re=0.5", "--set", "h_re=0.83666002653407555",
                      "--set", "v_re=0.54772255750516607", "--set", "eta_re=0.6"]
