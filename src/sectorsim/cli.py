@@ -47,10 +47,10 @@ from .measurement import (
 from .sector import (
     ElementaryFamily,
     ProductState,
+    _apply_sector,
     commutator_norm,
     dense_action,
     dense_product_state,
-    dense_sector_operator,
     sector_apply,
     sector_expectation,
 )
@@ -61,6 +61,10 @@ DISAGREEMENT_TOL = 1e-10
 
 class ConfigError(ValueError):
     """Bad key, value, or combination in the experiment configuration."""
+
+
+class NoRecordsError(RuntimeError):
+    """A runner returned no records: a fault in the program, not in the input."""
 
 
 @dataclass
@@ -257,7 +261,7 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
                 cases += len(every_config)
     records.append(_check_row("cascade_engines", cases, errors, 1e-12))
 
-    # sector algebra against the dense operator
+    # sector algebra against the operator's definition, applied to dense vectors
     rng = np.random.default_rng(cfg.seed)
     errors = []
     cases = 0
@@ -267,14 +271,14 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
         for alpha in range(0, n_sites, 2):
             psi[alpha] = _random_qubit(rng)
         state = ProductState(tuple(psi))
-        op = dense_sector_operator(family)
         vec = dense_product_state(state.psi)
+        applied = _apply_sector(family, vec)
         errors.append(abs(sector_expectation(family, state)
-                          - float(np.real(np.vdot(vec, op @ vec)))))
+                          - float(np.real(np.vdot(vec, applied)))))
         errors.append(float(np.max(np.abs(dense_action(sector_apply(family, state))
-                                          - op @ vec))))
+                                          - applied))))
         defining = dense_product_state(family.phi)
-        errors.append(float(np.max(np.abs(op @ defining - defining))))
+        errors.append(float(np.max(np.abs(_apply_sector(family, defining) - defining))))
         cases += 1
     records.append(_check_row("sector_algebra", cases, errors, 1e-12))
 
@@ -344,9 +348,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
     """Produce the sweep's records and the worst engine disagreement.
 
     The disagreement is the largest ``abs_diff`` when ``engine`` is
-    ``both`` (NaN if any row's is NaN) and 0 otherwise.
+    ``both`` (NaN if any row's is NaN) and 0 otherwise.  A runner that
+    returns no records raises ``NoRecordsError``, which ``main`` lets
+    surface, so no output format reports it as success or as bad input.
     """
     records = _RUNNERS[cfg.kind](cfg)
+    if not records:
+        raise NoRecordsError(f"the {cfg.kind} runner returned no records")
     if cfg.engine != "both":
         return records, 0.0
     return records, _worst([r["abs_diff"] for r in records if "abs_diff" in r])

@@ -218,13 +218,18 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
 
 def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) -> float:
     """Dense sandwich <psi| P |psi>, ``registers`` holding the H and V
-    registers cascaded to psi's generation.  Each pointer ket, vacuum (x) one
-    cascaded register (x) the other port's ground state, goes straight into
-    its inner product, so only one is alive at a time."""
-    vacuum = basis_state((3,), (PHOTON_VAC,))
-    ground_h, ground_v = (ground_register(params.n_dopants) for params in setup.registers)
-    amp_h = inner_product(tensor_product(tensor_product(vacuum, registers[0]), ground_v), psi)
-    amp_v = inner_product(tensor_product(tensor_product(vacuum, ground_h), registers[1]), psi)
+    registers cascaded to psi's generation.
+
+    Each pointer ket is vacuum (x) one cascaded register (x) the other
+    port's all-ground register.  The vacuum and the all-ground register are
+    basis vectors with flat index 0, so the ket's inner product with psi is
+    the cascaded register's inner product with a strided slice of psi: no
+    joint-size ket is built.
+    """
+    # psi's sites are photon, H register, V register, photon fastest
+    grid = psi.amps.reshape(1 << setup.n_dopants_v, 1 << setup.n_dopants_h, 3)
+    amp_h = np.vdot(registers[0].amps, grid[0, :, PHOTON_VAC])
+    amp_v = np.vdot(registers[1].amps, grid[:, 0, PHOTON_VAC])
     return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
 
 

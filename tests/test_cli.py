@@ -187,6 +187,19 @@ class TestOtherKinds:
             expected = 0.5 / int(row["N"])
             assert abs(float(row["analytic_norm"]) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("h, v", [(1.0, 0.0), (0.6, 0.8j)])
+    def test_dense_commutator_at_n12_matches_closed_form(self, capsys, h, v):
+        code, out, err = run_cli(capsys, "sector-commutator", "--set", "N=12",
+                                 "--set", "engine=both",
+                                 "--set", f"h_re={h.real!r}", "--set", f"v_im={complex(v).imag!r}",
+                                 "--set", f"v_re={complex(v).real!r}")
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [int(r["N"]) for r in rows] == list(range(2, 13))
+        for row in rows:
+            want = abs(h) * abs(v) / int(row["N"])
+            assert abs(float(row["dense_norm"]) - want) <= 1e-12
+
     def test_qnd_demo_probabilities_and_sampling(self, capsys):
         code, out, _ = run_cli(capsys, "qnd-demo",
                                "--set", "h_re=0.83666002653407555",
@@ -383,11 +396,15 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "avalanche-sweep", "--set", "eta_re")
         assert code == 2
 
-    def test_runner_bug_raises_instead_of_exiting_2(self, monkeypatch):
-        # a runner returning no records is a program bug, not bad input
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_runner_bug_raises_instead_of_exiting_2(self, monkeypatch, fmt):
+        # a runner returning no records is a program bug, not bad input, and
+        # both formats fail the same way before anything is written
         monkeypatch.setitem(cli._RUNNERS, "scales", lambda cfg: [])
-        with pytest.raises(IndexError):
-            main(["scales"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(cli.NoRecordsError):
+            main(["scales", "--format", fmt])
+        assert out.getvalue() == ""
 
 
 FLOAT_KEYS = sorted(k for k, kind in get_type_hints(ExperimentConfig).items() if kind is float)

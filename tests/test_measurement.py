@@ -24,6 +24,7 @@ from sectorsim.measurement import (
     PHOTON_VAC,
     MeasurementSetup,
     PhotonPolarisation,
+    _pointer_expectation,
     density_terms,
     evolve,
     initial_state,
@@ -456,3 +457,34 @@ class TestPhysicalScales:
     def test_overflowing_scale_rejected(self, args):
         with pytest.raises(ValueError):
             physical_scales(*args, 10)
+
+
+def ket_sandwich(setup, psi, registers):
+    """<psi| P |psi> from the two pointer kets, each built in full."""
+    vacuum = basis_state((3,), (PHOTON_VAC,))
+    ground_h, ground_v = (basis_state((2,) * a, (0,) * a)
+                          for a in (setup.n_dopants_h, setup.n_dopants_v))
+    amp_h = inner_product(tensor_product(tensor_product(vacuum, registers[0]), ground_v), psi)
+    amp_v = inner_product(tensor_product(tensor_product(vacuum, ground_h), registers[1]), psi)
+    return abs(amp_h) ** 2 - abs(amp_v) ** 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a_h=st.integers(min_value=1, max_value=5),
+    a_v=st.integers(min_value=1, max_value=5),
+    depth=st.integers(min_value=0, max_value=2),
+    eta=UNIT_DISC,
+    delta=UNIT_DISC,
+    theta=st.floats(0.0, math.pi / 2),
+    phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+def test_sliced_sandwich_equals_ket_sandwich(a_h, a_v, depth, eta, delta, theta, phases):
+    n = min(depth, min(a_h, a_v).bit_length() - 1)  # 2**n <= both registers
+    pol = PhotonPolarisation(cmath.rect(math.cos(theta), phases[0]),
+                             cmath.rect(math.sin(theta), phases[1]))
+    setup = MeasurementSetup(pol, delta, eta, a_h, a_v, n)
+    psi = evolve(setup, n)
+    registers = [dense_avalanche(params, n) for params in setup.registers]
+    assert abs(_pointer_expectation(setup, psi, registers)
+               - ket_sandwich(setup, psi, registers)) <= 1e-15

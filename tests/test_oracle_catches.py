@@ -2,7 +2,10 @@
 
 Each defect replaces one name in every package namespace that binds it,
 so no caller keeps the intact function, and the oracle must then report
-``cascade_engines`` as failed and exit 4.
+``cascade_engines`` as failed and exit 4.  The dense commutator must fail
+closed the same way: a sector product that turns NaN, or a Lanczos step
+cap too low to converge, makes ``sector-commutator engine=both`` and
+``oracle-check`` exit 4.
 """
 
 import contextlib
@@ -10,9 +13,10 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
-from sectorsim import avalanche, cli, measurement
+from sectorsim import avalanche, cli, measurement, sector
 from sectorsim.avalanche import block_ground_overlap
 
 
@@ -47,3 +51,40 @@ def test_oracle_check_fails_on_planted_defect(name, monkeypatch):
     status = {r["check"]: r["status"] for r in csv.DictReader(out.getvalue().splitlines())}
     assert status["cascade_engines"] == "fail"
     assert "engine disagreement" in err.getvalue()
+
+
+def nan_product(family, vec):
+    """A sector product that has gone NaN."""
+    return np.full_like(vec, np.nan)
+
+
+# each plants one defect in the dense commutator, and names the oracle
+# checks that must then fail
+COMMUTATOR_PLANTS = {
+    "nan_sector_product": (lambda mp: [mp.setattr(module, "_apply_sector", nan_product)
+                                       for module in (sector, cli)],
+                           {"sector_algebra", "commutator_decay"}),
+    "lanczos_cap_too_low": (lambda mp: mp.setattr(sector, "_LANCZOS_STEPS", 2),
+                            {"commutator_decay"}),
+}
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, list(csv.DictReader(out.getvalue().splitlines())), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTATOR_PLANTS))
+def test_dense_commutator_fails_closed(name, monkeypatch):
+    plant, failing = COMMUTATOR_PLANTS[name]
+    plant(monkeypatch)
+    code, rows, err = _run("sector-commutator", "--set", "N=5", "--set", "engine=both",
+                           "--set", "h_re=0.6", "--set", "v_re=0.8")
+    assert code == 4, err
+    assert any(math.isnan(float(r["dense_norm"])) for r in rows)
+    code, rows, err = _run("oracle-check")
+    assert code == 4, err
+    status = {r["check"]: r["status"] for r in rows}
+    assert {check for check, verdict in status.items() if verdict == "fail"} == failing

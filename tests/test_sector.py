@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_qubit
+from conftest import random_qubit, random_state_vector
 from sectorsim.hilbert import DimensionLimitError
 from sectorsim.sector import (
     ElementaryFamily,
     ProductState,
+    _apply_sector,
     commutator_norm,
     dense_action,
     dense_product_state,
@@ -261,3 +262,30 @@ def test_expectation_agrees_with_dense_sandwich(seed, n_sites):
     vec = dense_product_state(state.psi)
     assert abs(sector_expectation(family, state)
                - float(np.real(np.vdot(vec, op @ vec)))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    dims=st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=6),
+)
+def test_contraction_matches_dense_operator(seed, dims):
+    rng = np.random.default_rng(seed)
+    family = ElementaryFamily(tuple(random_qubit(rng, d) for d in dims))
+    vec = random_state_vector(math.prod(dims), rng) * rng.uniform(0.5, 4.0)
+    want = dense_sector_operator(family) @ vec
+    assert np.max(np.abs(_apply_sector(family, vec) - want)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    n_sites=st.integers(min_value=1, max_value=8),
+)
+def test_lanczos_norm_matches_matrix_spectral_norm(seed, n_sites):
+    rng = np.random.default_rng(seed)
+    family_a = ElementaryFamily(tuple(random_qubit(rng) for _ in range(n_sites)))
+    family_b = ElementaryFamily(tuple(random_qubit(rng) for _ in range(n_sites)))
+    op_a, op_b = dense_sector_operator(family_a), dense_sector_operator(family_b)
+    want = float(np.linalg.norm(op_a @ op_b - op_b @ op_a, 2))
+    assert abs(commutator_norm(family_a, family_b, method="dense") - want) <= 1e-12
