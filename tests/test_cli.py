@@ -187,18 +187,21 @@ class TestOtherKinds:
             expected = 0.5 / int(row["N"])
             assert abs(float(row["analytic_norm"]) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("h, v", [(1.0, 0.0), (0.6, 0.8j)])
-    def test_dense_commutator_at_n12_matches_closed_form(self, capsys, h, v):
-        code, out, err = run_cli(capsys, "sector-commutator", "--set", "N=12",
-                                 "--set", "engine=both",
-                                 "--set", f"h_re={h.real!r}", "--set", f"v_im={complex(v).imag!r}",
-                                 "--set", f"v_re={complex(v).real!r}")
+    # |h| |v| of the default polarisation (1, 0) and of (0.6, 0.8i)
+    @pytest.mark.parametrize("sets, h_times_v", [
+        ((), 0.0),
+        (("h_re=0.6", "v_re=0", "v_im=0.8"), 0.48),
+    ])
+    def test_dense_commutator_at_n12_matches_closed_form(self, capsys, sets, h_times_v):
+        argv = ["sector-commutator", "--set", "N=12", "--set", "engine=both"]
+        for pair in sets:
+            argv += ["--set", pair]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         rows = list(csv.DictReader(out.splitlines()))
         assert [int(r["N"]) for r in rows] == list(range(2, 13))
         for row in rows:
-            want = abs(h) * abs(v) / int(row["N"])
-            assert abs(float(row["dense_norm"]) - want) <= 1e-12
+            assert abs(float(row["dense_norm"]) - h_times_v / int(row["N"])) <= 1e-12
 
     def test_qnd_demo_probabilities_and_sampling(self, capsys):
         code, out, _ = run_cli(capsys, "qnd-demo",

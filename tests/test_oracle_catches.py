@@ -58,14 +58,13 @@ def nan_product(family, vec):
     return np.full_like(vec, np.nan)
 
 
-# each plants one defect in the dense commutator, and names the oracle
-# checks that must then fail
+# each plants one defect in the dense commutator as (module, name, value)
+# replacements, and names the oracle checks that must then fail
 COMMUTATOR_PLANTS = {
-    "nan_sector_product": (lambda mp: [mp.setattr(module, "_apply_sector", nan_product)
-                                       for module in (sector, cli)],
+    "nan_sector_product": ([(sector, "_apply_sector", nan_product),
+                            (cli, "_apply_sector", nan_product)],
                            {"sector_algebra", "commutator_decay"}),
-    "lanczos_cap_too_low": (lambda mp: mp.setattr(sector, "_LANCZOS_STEPS", 2),
-                            {"commutator_decay"}),
+    "lanczos_cap_too_low": ([(sector, "_LANCZOS_STEPS", 2)], {"commutator_decay"}),
 }
 
 
@@ -78,8 +77,9 @@ def _run(*argv):
 
 @pytest.mark.parametrize("name", sorted(COMMUTATOR_PLANTS))
 def test_dense_commutator_fails_closed(name, monkeypatch):
-    plant, failing = COMMUTATOR_PLANTS[name]
-    plant(monkeypatch)
+    replacements, failing = COMMUTATOR_PLANTS[name]
+    for module, attr, value in replacements:
+        monkeypatch.setattr(module, attr, value)
     code, rows, err = _run("sector-commutator", "--set", "N=5", "--set", "engine=both",
                            "--set", "h_re=0.6", "--set", "v_re=0.8")
     assert code == 4, err

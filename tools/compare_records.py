@@ -3,7 +3,7 @@
 
     python tools/compare_records.py BASE_REV [--expect FILE ...] [--keep DIR]
 
-Run from the repository root.  Every shipped ``configs/*.cfg`` runs in
+Every shipped ``configs/*.cfg`` runs in
 both formats, and so does each variant in ``VARIANTS``, once against the
 base revision's ``src/`` and once against the working tree's, with the
 working tree's configs for both.  The base sources are extracted with
@@ -14,7 +14,8 @@ metadata is never touched.  Each side's exit codes go to one more file,
 The script prints every output file whose bytes differ between the two
 sides.  It exits 1 if a file differs that no ``--expect`` names, or if
 any run in either tree exits nonzero, and 0 otherwise.  ``--keep DIR``
-leaves both sides' outputs in ``DIR/base`` and ``DIR/head``.
+leaves both sides' outputs in ``DIR/base`` and ``DIR/head``, which must
+not exist yet.
 """
 
 from __future__ import annotations
@@ -97,13 +98,13 @@ def jobs() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_tree(src: Path, out: Path) -> dict[str, str]:
-    """Write every job's output under ``out`` with the package in ``src``;
-    return each job's exit code."""
+def run_tree(src: Path, out: Path, runs) -> dict[str, str]:
+    """Write the output of every run in ``runs`` under ``out`` with the
+    package in ``src``; return each run's exit code."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", CHILD, str(src), str(out)], cwd=ROOT, env=env,
-                   input=json.dumps(jobs()), text=True, check=True)
+                   input=json.dumps(runs), text=True, check=True)
     return dict(line.split(" ", 1) for line in (out / EXIT_CODES).read_text().splitlines())
 
 
@@ -122,22 +123,23 @@ def main(argv=None) -> int:
                         help="output files that are expected to differ")
     parser.add_argument("--keep", metavar="DIR", help="write both sides' outputs here")
     args = parser.parse_args(argv)
+    runs = jobs()
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.base_rev, "src"],
                                  cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         outputs = Path(args.keep) if args.keep else Path(tmp) / "out"
-        codes = {side: run_tree(src, outputs / side)
+        codes = {side: run_tree(src, outputs / side, runs)
                  for side, src in (("base", Path(tmp) / "src"), ("head", ROOT / "src"))}
         changed = differing(outputs / "base", outputs / "head")
-    failed = sorted({f"{side}: {name} exited {code}" for side, by_name in codes.items()
-                     for name, code in by_name.items() if code != "0"})
+    failed = [f"{side}: {name} exited {code}" for side, by_name in codes.items()
+              for name, code in by_name.items() if code != "0"]
     for name in changed:
         print(f"differs: {name}" + (" (expected)" if name in args.expect else ""))
     for line in failed:
         print(f"nonzero exit in {line}")
     unexpected = [name for name in changed if name not in args.expect]
-    print(f"{len(jobs()) + 1} files compared, {len(changed)} differ, "
+    print(f"{len(runs) + 1} files compared, {len(changed)} differ, "
           f"{len(unexpected)} unexpectedly; {len(failed)} nonzero exits")
     return 1 if unexpected or failed else 0
 
