@@ -273,7 +273,9 @@ def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,
     basis of ``_LANCZOS_STEPS + 1`` flat vectors checked against the
     dimension guard before it is allocated.  It returns NaN when Lanczos
     does not converge, so a comparison with the analytic route fails
-    closed.
+    closed.  Uniform families converge within N + 1 steps; random
+    families with distinct sites may not: 1 of 25 random qubit pairs
+    gave NaN at N = 11 and 6 of 25 at N = 12 (none up to N = 10).
     """
     if family_a.dims != family_b.dims:
         raise ValueError(

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Compare the CLI records of a base revision with those of the working tree.
 
-    python tools/compare_records.py BASE_REV [--expect FILE ...] [--keep DIR]
+    python tools/compare_records.py BASE_REV [--expect FILE ...]
 
 Every shipped ``configs/*.cfg`` runs in
 both formats, and so does each variant in ``VARIANTS``, once against the
 base revision's ``src/`` and once against the working tree's, with the
 working tree's configs for both.  The base sources are extracted with
 ``git archive`` into a temporary directory, so the repository's git
-metadata is never touched.  Each side's exit codes go to one more file,
-``exit_codes.txt``, that is compared like the records.
+metadata is never touched.
 
 The script prints every output file whose bytes differ between the two
 sides.  It exits 1 if a file differs that no ``--expect`` names, or if
-any run in either tree exits nonzero, and 0 otherwise.  ``--keep DIR``
-leaves both sides' outputs in ``DIR/base`` and ``DIR/head``, which must
-not exist yet.
+any run in either tree exits nonzero, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,8 +106,10 @@ def run_tree(src: Path, out: Path, runs) -> dict[str, str]:
 
 
 def differing(base: Path, head: Path) -> list[str]:
-    """Names of files present on one side only or with different bytes."""
-    names = sorted({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()})
+    """Names of record files present on one side only or with different
+    bytes; the exit codes are checked separately."""
+    names = sorted(({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()})
+                   - {EXIT_CODES})
     return [name for name in names
             if not ((base / name).is_file() and (head / name).is_file()
                     and (base / name).read_bytes() == (head / name).read_bytes())]
@@ -121,14 +120,13 @@ def main(argv=None) -> int:
     parser.add_argument("base_rev", help="git revision whose src/ is the base side")
     parser.add_argument("--expect", nargs="+", default=[], metavar="FILE",
                         help="output files that are expected to differ")
-    parser.add_argument("--keep", metavar="DIR", help="write both sides' outputs here")
     args = parser.parse_args(argv)
     runs = jobs()
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.base_rev, "src"],
                                  cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        outputs = Path(args.keep) if args.keep else Path(tmp) / "out"
+        outputs = Path(tmp) / "out"
         codes = {side: run_tree(src, outputs / side, runs)
                  for side, src in (("base", Path(tmp) / "src"), ("head", ROOT / "src"))}
         changed = differing(outputs / "base", outputs / "head")
@@ -139,7 +137,7 @@ def main(argv=None) -> int:
     for line in failed:
         print(f"nonzero exit in {line}")
     unexpected = [name for name in changed if name not in args.expect]
-    print(f"{len(runs) + 1} files compared, {len(changed)} differ, "
+    print(f"{len(runs)} files compared, {len(changed)} differ, "
           f"{len(unexpected)} unexpectedly; {len(failed)} nonzero exits")
     return 1 if unexpected or failed else 0
 
