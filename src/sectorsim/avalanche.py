@@ -96,13 +96,17 @@ ETA_TOL = 1e-12
 
 def _check_amplitude(x: complex, name: str) -> complex:
     """``x`` as a complex with |x| <= 1.  An overshoot of at most ``ETA_TOL``
-    is scaled onto the unit circle, so it never reaches a unitarity check or
-    a probability; a larger |x|, or NaN, raises ValueError naming ``name``."""
-    x = complex(x)
-    if not abs(x) <= 1.0 + ETA_TOL:
-        raise ValueError(f"amplitude needs |{name}| <= 1, got |{name}| = {abs(x)}")
-    if abs(x) > 1.0:
-        x /= abs(x)
+    is scaled onto the unit circle; a larger |x|, NaN, or a part or modulus
+    past the largest double raises ValueError naming ``name``."""
+    try:
+        x = complex(x)
+        modulus = abs(x)
+    except OverflowError:
+        modulus = math.inf
+    if not modulus <= 1.0 + ETA_TOL:
+        raise ValueError(f"amplitude needs |{name}| <= 1, got |{name}| = {modulus}")
+    if modulus > 1.0:
+        x /= modulus
         while abs(x) > 1.0:  # x / |x| can land an ulp outside the circle
             x *= 1.0 - 2.0**-52
     return x
@@ -129,9 +133,9 @@ class AvalancheParams:
             raise ValueError(f"need at least one dopant electron, got {n_dopants}")
         if n_max < 0:
             raise ValueError(f"generation count must be >= 0, got {n_max}")
-        if (1 << n_max) > n_dopants:
+        if n_max >= n_dopants.bit_length():  # 2**n_max > n_dopants, never built
             raise ValueError(
-                f"generation {n_max} touches {1 << n_max} electrons but the "
+                f"generation {n_max} touches 2**{n_max} electrons but the "
                 f"register only has {n_dopants}"
             )
         object.__setattr__(self, "n_dopants", n_dopants)
@@ -168,7 +172,7 @@ def scattering_matrix(eta: complex) -> np.ndarray:
     return _rotation(4, 1, 3, _check_amplitude(eta, "eta"))
 
 
-def scattering_gate(eta: complex, exciter: int = 0, partner: int = 1) -> TwoSiteGate:
+def scattering_gate(eta: complex, exciter: int, partner: int) -> TwoSiteGate:
     """Collision gate bound to an (exciter, partner) site pair."""
     return TwoSiteGate((exciter, partner), scattering_matrix(eta))
 

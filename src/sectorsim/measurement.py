@@ -24,19 +24,18 @@ instead tracks the seeded-but-frozen register overlap, giving the factor
 storylines are reported side by side and agree only under the ground
 reference.
 
-A sweep over generations 0..n_max (``sector_parameter_sweep``, which the
-CLI's measurement sweep and oracle check use) carries each dense state
-from one generation to the next: it photoexcites once, then advances the
-joint state and the two cascaded pointer registers one generation at a
-time, applying the same gates in the same order as a rebuild from
-generation 0, so its records equal the per-n ones bit for bit.
+The one dense driver is ``sector_parameter_sweep``, which the CLI's
+measurement sweep and oracle check use and ``sector_parameter_expectation``
+runs up to its generation.  It photoexcites once, then advances the joint
+state and the two cascaded pointer registers one generation at a time,
+applying the same gates in the same order as a rebuild from generation 0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .avalanche import (
     _survival,
     apply_cascade,
     cascade_generations,
-    dense_avalanche,
     dense_ground_overlap,
     ground_register,
     overlap_ground,
@@ -267,17 +265,15 @@ def sector_parameter_expectation(
     """Pointer expectation after n generations, by formula and (optionally) dense sandwich.
 
     The O(n) structured evaluation always runs.  ``compute_direct=True``
-    adds the dense sandwich over all 3 * 2**(A_H + A_V) joint amplitudes,
-    which raises ``DimensionLimitError`` when that exceeds the dimension
-    guard; the guard only refuses, it never picks the route.
+    returns record n of :func:`sector_parameter_sweep` run to depth n, whose
+    dense sandwich over 3 * 2**(A_H + A_V) amplitudes raises
+    ``DimensionLimitError`` beyond the guard; the guard never picks the route.
     """
     n = _check_generation(setup.registers[0], n)
     _check_reference(reference)
-    direct = None
     if compute_direct:
-        direct = _pointer_expectation(
-            setup, evolve(setup, n), [dense_avalanche(params, n) for params in setup.registers])
-    return _record(setup, n, reference, direct)
+        return sector_parameter_sweep(replace(setup, n_max=n), reference, compute_direct=True)[n]
+    return _record(setup, n, reference, None)
 
 
 def sector_parameter_sweep(
@@ -285,12 +281,12 @@ def sector_parameter_sweep(
     reference: str = "ground",
     compute_direct: bool = False,
 ) -> list[MeasurementRecord]:
-    """:func:`sector_parameter_expectation` records for generations 0..n_max.
+    """Records for generations 0..n_max, the structured formula in each.
 
-    The dense route photoexcites once, then carries the joint state and
-    both cascaded pointer registers forward one generation at a time, with
-    the gates a rebuild would apply in the same order, so every record
-    equals its per-n twin bit for bit.
+    With ``compute_direct`` the dense route photoexcites once, then
+    carries the joint state and both cascaded pointer registers forward
+    one generation at a time, with the gates a rebuild from generation 0
+    would apply, in the same order.
     """
     _check_reference(reference)
     generations = range(setup.n_max + 1)

@@ -59,6 +59,7 @@ _RITZ_RESIDUAL_TOL = 1e-12
 _LANCZOS_SEED = 20241216
 
 
+@np.errstate(over="ignore")  # a norm past the largest double reads inf, and is refused
 def _checked_site_vectors(vectors, what: str) -> tuple[np.ndarray, ...]:
     out = []
     for idx, vec in enumerate(vectors):

@@ -24,6 +24,10 @@ from sectorsim.hilbert import apply_two_site_gate
 from sectorsim.measurement import (
     MeasurementSetup,
     PhotonPolarisation,
+    _pointer_expectation,
+    evolve,
+    initial_state,
+    photoexcite,
     sector_parameter_expectation,
     sector_parameter_sweep,
 )
@@ -91,6 +95,24 @@ def test_sweep_records_match_per_generation_records(a_h, a_v, eta, delta, pol,
             assert bits(got) == bits(expected), (rec.n, field.name, got, expected)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a_h=st.integers(1, 6), a_v=st.integers(1, 6), eta=UNIT_DISC, delta=UNIT_DISC,
+       pol=POLARISATIONS)
+@example(a_h=4, a_v=6, eta=1.0, delta=-1j, pol=(0.6, 0.8))
+def test_sweep_sandwich_matches_a_gate_by_gate_rebuild(a_h, a_v, eta, delta, pol):
+    # the per-generation call reads the sweep, so this rebuild is the
+    # reference that holds both of them
+    n_max = min(a_h, a_v).bit_length() - 1
+    setup = MeasurementSetup(PhotonPolarisation(*pol), delta, eta, a_h, a_v, n_max)
+    joint = photoexcite(setup, initial_state(setup))
+    for rec in sector_parameter_sweep(setup, compute_direct=True):
+        psi = rebuilt(joint, setup.eta, rec.n, setup.seed_sites)
+        pointers = [rebuilt(seeded_register(params.n_dopants), params.eta, rec.n, (0,))
+                    for params in setup.registers]
+        want = _pointer_expectation(setup, psi, pointers)
+        assert bits(rec.expectation_direct) == bits(want), (rec.n, rec.expectation_direct, want)
+
+
 def peak_bytes(call):
     call()  # warm caches, so only the call's own arrays are traced
     tracemalloc.start()
@@ -107,6 +129,15 @@ def test_sweep_holds_no_more_than_one_generation():
     single = peak_bytes(lambda: sector_parameter_expectation(setup, 3, compute_direct=True))
     sweep = peak_bytes(lambda: sector_parameter_sweep(setup, compute_direct=True))
     assert sweep <= single + (64 << 10), (sweep, single)
+
+
+def test_per_generation_record_holds_no_more_than_a_rebuild():
+    setup = MeasurementSetup(PhotonPolarisation(math.sqrt(0.7), math.sqrt(0.3)),
+                             0.5, 0.6, 8, 8, 3)
+    record = peak_bytes(lambda: sector_parameter_expectation(setup, 3, compute_direct=True))
+    rebuild = peak_bytes(lambda: _pointer_expectation(
+        setup, evolve(setup, 3), [dense_avalanche(params, 3) for params in setup.registers]))
+    assert record <= rebuild + (64 << 10), (record, rebuild)
 
 
 def test_dense_avalanche_holds_two_and_a_half_states():

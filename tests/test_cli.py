@@ -5,13 +5,15 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 from dataclasses import fields
 from typing import get_type_hints
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sectorsim import cli
@@ -432,6 +434,51 @@ def test_non_finite_float_exits_2(key, value, data):
     assert code == 2
     assert "config error" in err.getvalue()
     assert out.getvalue() == ""
+
+
+# --set values: whole numbers up to +-1e30, signed zeros, subnormals, the
+# largest doubles, non-finite spellings, amplitudes, route names, garbage
+SET_VALUES = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+                     "1.7e308", "-1.7e308", "1e308", "nan", "inf", "-inf",
+                     "dense", "both", "no_avalanche"]),
+    st.floats(-2.0, 2.0).map(repr),
+    st.text(max_size=6),
+)
+SET_PAIRS = st.lists(st.tuples(st.sampled_from(sorted(cli._KEY_TYPES)), SET_VALUES),
+                     min_size=1, max_size=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(cli.KINDS), pairs=SET_PAIRS)
+@example(kind="avalanche-sweep", pairs=[("eta_re", "1.7e308"), ("eta_im", "1.7e308")])
+@example(kind="measurement-sweep", pairs=[("delta_re", "1.7e308"), ("delta_im", "1.7e308")])
+@example(kind="avalanche-sweep", pairs=[("n_max", "1" + "0" * 22)])
+@example(kind="measurement-sweep", pairs=[("n_max", "1" + "0" * 22)])
+@example(kind="sector-commutator", pairs=[("h_re", "1e308")])
+def test_any_set_value_gives_a_documented_exit_code(kind, pairs):
+    argv = [kind, "--out", "-"]
+    for key, value in pairs:
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"SECTORSIM_DIM_GUARD": "4096"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    if code != 0:
+        return
+    # a structured measurement sweep has no dense number, so it prints NaN
+    engine = dict(pairs).get("engine", "structured").strip()
+    no_dense = {"expectation_direct", "abs_diff"} if (
+        kind == "measurement-sweep" and engine == "structured") else set()
+    for row in csv.DictReader(io.StringIO(out.getvalue())):
+        for column, cell in row.items():
+            try:
+                number = float(cell)
+            except ValueError:
+                continue  # a label such as "ok" or "H"
+            assert math.isfinite(number) or column in no_dense, (column, cell)
 
 
 @pytest.mark.skipif(shutil.which("simulate") is None,

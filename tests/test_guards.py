@@ -11,7 +11,9 @@ import functools
 import io
 import json
 import math
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from sectorsim.hilbert import (
     DimensionLimitError,
     TwoSiteGate,
     basis_state,
+    dimension_guard,
     flat_index,
     tensor_product,
 )
@@ -51,6 +54,7 @@ from sectorsim.measurement import (
 from sectorsim.sector import (
     ElementaryFamily,
     ProductState,
+    SectorAction,
     commutator_norm,
     dense_action,
     dense_product_state,
@@ -256,6 +260,9 @@ def test_oversized_dense_request_refused_before_allocating(name, monkeypatch):
 # each would overflow double precision inside the check meant to reject it
 OVERFLOWING = {
     "PhotonPolarisation": lambda: PhotonPolarisation(1e200, 0),
+    "AvalancheParams": lambda: AvalancheParams(8, 10**400, 2),
+    "MeasurementSetup": lambda: MeasurementSetup(
+        PhotonPolarisation(1.0, 0.0), complex(1.7e308, 1.7e308), 0.6, 2, 2, 1),
     "physical_scales": lambda: physical_scales(2.0, 0.5, 1e-6, 10**400),
 }
 
@@ -276,3 +283,64 @@ def test_overflowing_input_is_rejected(name):
 def test_dense_product_state_needs_one_vector_per_site(vectors):
     with pytest.raises(ValueError, match="one vector per site"):
         dense_product_state(vectors)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_dopants=st.integers(1, 64), n_max=st.integers(0, 10**30))
+@example(n_dopants=8, n_max=3)
+@example(n_dopants=8, n_max=10**6)
+@example(n_dopants=8, n_max=10**22)
+def test_depth_bound_is_checked_without_building_two_to_the_depth(n_dopants, n_max):
+    n_max = max(n_max, n_dopants.bit_length())  # the shallowest refused depth and up
+    builds = (lambda: AvalancheParams(n_dopants, 0.6, n_max),
+              lambda: MeasurementSetup(PhotonPolarisation(1.0, 0.0), 1.0, 0.6,
+                                       n_dopants, n_dopants, n_max))
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="register only has"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
+def _under_guard(value, call):
+    with mock.patch.dict(os.environ, {"SECTORSIM_DIM_GUARD": value}):
+        return call()
+
+
+# each call raises a ValueError whose message holds the fragment; each
+# argument list makes the CLI exit with the code
+REFUSALS = {
+    "no_dopants": (lambda: AvalancheParams(0, 0.6, 0), "at least one dopant"),
+    "negative_depth": (lambda: AvalancheParams(4, 0.6, -1), "generation count must be >= 0"),
+    "negative_generation": (lambda: dense_avalanche(AvalancheParams(4, 0.6, 2), -1),
+                            "generation must be >= 0"),
+    "negative_block_level": (lambda: block_ground_overlap(-1, 0.6), "block level must be >= 0"),
+    "guard_below_two": (lambda: _under_guard("1", dimension_guard), "must be >= 2"),
+    "basis_state_without_sites": (lambda: basis_state((), ()), "at least one site"),
+    "gate_on_negative_site": (lambda: TwoSiteGate((-1, 0), np.eye(4)), "non-negative"),
+    "non_square_gate": (lambda: TwoSiteGate((0, 1), np.ones((4, 2))), "must be square"),
+    "no_shots": (lambda: qnd_sample(PhotonPolarisation(1.0, 0.0), 0, 7), "at least one shot"),
+    "one_level_site": (lambda: ElementaryFamily((np.array([1.0]),)), "dimension >= 2"),
+    "matrix_site": (lambda: ElementaryFamily((np.eye(2),)), "dimension >= 2"),
+    "family_without_sites": (lambda: ElementaryFamily(()), "at least one site"),
+    "empty_action": (lambda: dense_action(SectorAction(())), "empty action"),
+    "families_over_different_sites": (lambda: commutator_norm(_family(2), _family(3)),
+                                      "different sites"),
+    "commutator_of_one_site": (("sector-commutator", "--set", "N=1"), 2),
+    "help": (("--help",), 0),
+    "unknown_kind": (("no-such-kind",), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_reaches_its_check(name):
+    call, expected = REFUSALS[name]
+    if isinstance(expected, int):
+        assert _cli(*call)[0] == expected
+    else:
+        with pytest.raises(ValueError, match=expected):
+            call()

@@ -57,26 +57,23 @@ VARIANTS = (
                          "delta_im=-0.2 h_re=0.6 h_im=-0.1 v_re=0.7937253933193772"),
 )
 
-EXIT_CODES = "exit_codes.txt"
-
 # Runs the jobs read from stdin against the sectorsim found on PYTHONPATH,
-# one call of cli.main each, and writes every exit code to EXIT_CODES.
-CHILD = f"""
+# one call of cli.main each, and prints every exit code as one JSON object.
+CHILD = """
 import json, sys
 from pathlib import Path
 import sectorsim
 from sectorsim.cli import main
 src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
 if src not in Path(sectorsim.__file__).resolve().parents:
-    sys.exit(f"imported sectorsim from {{sectorsim.__file__}}, not from {{src}}")
-codes = []
+    sys.exit(f"imported sectorsim from {sectorsim.__file__}, not from {src}")
+codes = {}
 for name, argv in json.load(sys.stdin):
     try:
-        code = main(argv + ["--out", str(out / name)])
+        codes[name] = main(argv + ["--out", str(out / name)])
     except Exception as exc:
-        code = type(exc).__name__
-    codes.append(f"{{name}} {{code}}\\n")
-(out / {EXIT_CODES!r}).write_text("".join(codes))
+        codes[name] = type(exc).__name__
+print(json.dumps(codes))
 """
 
 
@@ -95,21 +92,19 @@ def jobs() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_tree(src: Path, out: Path, runs) -> dict[str, str]:
+def run_tree(src: Path, out: Path, runs) -> dict[str, int | str]:
     """Write the output of every run in ``runs`` under ``out`` with the
     package in ``src``; return each run's exit code."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-c", CHILD, str(src), str(out)], cwd=ROOT, env=env,
-                   input=json.dumps(runs), text=True, check=True)
-    return dict(line.split(" ", 1) for line in (out / EXIT_CODES).read_text().splitlines())
+    child = subprocess.run([sys.executable, "-c", CHILD, str(src), str(out)], cwd=ROOT, env=env,
+                           input=json.dumps(runs), stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(child.stdout)
 
 
 def differing(base: Path, head: Path) -> list[str]:
-    """Names of record files present on one side only or with different
-    bytes; the exit codes are checked separately."""
-    names = sorted(({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()})
-                   - {EXIT_CODES})
+    """Names of record files present on one side only or with different bytes."""
+    names = sorted({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()})
     return [name for name in names
             if not ((base / name).is_file() and (head / name).is_file()
                     and (base / name).read_bytes() == (head / name).read_bytes())]
@@ -131,7 +126,7 @@ def main(argv=None) -> int:
                  for side, src in (("base", Path(tmp) / "src"), ("head", ROOT / "src"))}
         changed = differing(outputs / "base", outputs / "head")
     failed = [f"{side}: {name} exited {code}" for side, by_name in codes.items()
-              for name, code in by_name.items() if code != "0"]
+              for name, code in by_name.items() if code != 0]
     for name in changed:
         print(f"differs: {name}" + (" (expected)" if name in args.expect else ""))
     for line in failed:
