@@ -178,11 +178,15 @@ def scattering_gate(eta: complex, exciter: int, partner: int) -> TwoSiteGate:
 
 
 def generation_pairs(n: int) -> list[tuple[int, int]]:
-    """Collision pairs fired at generation n >= 1: (k, k + 2**(n-1))."""
+    """Collision pairs fired at generation n >= 1: (k, k + 2**(n-1)).
+
+    A depth whose 2**(n-1) pairs pass the dimension guard is refused
+    before any of them is built."""
     n = _integral(n, "generations")
     if n < 1:
         raise ValueError(f"collisions start at generation 1, got {n}")
-    half = 1 << (n - 1)
+    half = check_guard((2 for _ in range(n - 1)),
+                       f"generation {n} fires 2**{n - 1} collisions")
     return [(k, k + half) for k in range(half)]
 
 

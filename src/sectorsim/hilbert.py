@@ -11,9 +11,13 @@ Conventions used throughout the package:
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
   unitary to within ``UNITARITY_TOL``.
-* Gates are applied out of place, as one copy of the state plus strided
-  updates of the blocks their non-identity rows write; the input state is
-  never written.
+* Gates are applied out of place and never write their input.  The state
+  is cut along its slowest axis into slabs of about ``_SLAB_AMPS``
+  amplitudes; each slab is copied and then its non-identity rows are
+  rewritten while it is still in cache.  A row sums its products in one
+  contiguous scratch block, at most a quarter of a slab; its strided
+  destination block holds each later product only until the sum replaces
+  it.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -50,6 +54,8 @@ __all__ = [
 
 DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
+# amplitudes per slab of the gate kernel: 256 KiB, well inside a per-core L2
+_SLAB_AMPS = 1 << 14
 
 
 class DimensionLimitError(ValueError):
@@ -131,7 +137,13 @@ class DenseState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, dims {dims} need ({size},)"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        # any inf or NaN makes the sum of squares non-finite, so a finite sum
+        # settles it in one BLAS pass; only a non-finite sum, which finite
+        # entries give when it overflows, needs the elementwise scan
+        parts = amps.view(np.float64)
+        with np.errstate(all="ignore"):
+            finite = math.isfinite(np.dot(parts, parts))
+        if not (finite or np.all(np.isfinite(parts))):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -226,26 +238,31 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
              dims[lo], math.prod(dims[:lo]))
     # site i's axis first, then site j's
     axes = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
-
-    def blocks(amps):
-        """Strided views of ``amps``, one per pair label k = b_i + d_i*b_j."""
-        view = amps.reshape(shape).transpose(axes)
-        return [view[k % di, k // di] for k in range(di * dj)]
-
-    out = state.amps.copy()
-    src, dst = blocks(state.amps), blocks(out)
-    tmp = np.empty_like(dst[0])
+    # rows and columns label pairs k = b_i + d_i*b_j, kept as (b_i, b_j)
+    updates = []
     for r, row in enumerate(gate.matrix.tolist()):
-        terms = [(k, c) for k, c in enumerate(row) if c]
-        if terms == [(r, 1)]:
-            continue
-        (k, c), *rest = terms
-        np.multiply(src[k], c, out=dst[r])
-        if not rest:
-            # +0 turns the -0 a lone negative coefficient makes of a zero
-            # (a collision at eta = +-1) back into +0, which records print
-            np.add(dst[r], 0.0, out=dst[r])
-        for k, c in rest:
-            np.multiply(src[k], c, out=tmp)
-            np.add(dst[r], tmp, out=dst[r])
+        terms = [(k % di, k // di, c) for k, c in enumerate(row) if c]
+        if terms != [(r % di, r // di, 1)]:
+            updates.append((r % di, r // di, terms))
+    out = np.empty_like(state.amps)
+    src = state.amps.reshape(shape).transpose(axes)
+    dst = out.reshape(shape).transpose(axes)
+    # a slab is `step` indices of the slowest axis, `layer` amplitudes each
+    above, layer = shape[0], math.prod(shape[1:])
+    step = max(1, _SLAB_AMPS // layer)
+    scratch = np.empty((min(step, above), shape[2], shape[4]), dtype=np.complex128)
+    for a in range(0, above, step):
+        b = min(a + step, above)
+        out[a * layer:b * layer] = state.amps[a * layer:b * layer]
+        acc = scratch[:b - a]
+        for ri, rj, ((ki, kj, c), *rest) in updates:
+            target = dst[ri, rj, a:b]
+            np.multiply(src[ki, kj, a:b], c, out=acc)
+            if not rest:
+                # +0 turns the -0 a lone negative coefficient makes of a zero
+                # (a collision at eta = +-1) back into +0, which records print
+                np.add(acc, 0.0, out=target)
+            for t, (ki, kj, c) in enumerate(rest, 1):
+                np.multiply(src[ki, kj, a:b], c, out=target)
+                np.add(acc, target, out=target if t == len(rest) else acc)
     return DenseState(dims, out)

@@ -306,6 +306,20 @@ def test_depth_bound_is_checked_without_building_two_to_the_depth(n_dopants, n_m
         assert peak < 64 << 10
 
 
+def test_generation_pairs_refuses_a_depth_past_the_guard_before_building():
+    # 10**22 first: a build without the bound fails on it at once, before
+    # n = 40 could try to list 2**39 pairs
+    for n in (10**22, 40):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError, match=f"generation {n} fires"):
+                generation_pairs(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
 def _under_guard(value, call):
     with mock.patch.dict(os.environ, {"SECTORSIM_DIM_GUARD": value}):
         return call()

@@ -1,6 +1,7 @@
 """Dense state plumbing: flat-index convention, products, gates, guard."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import ETA_GRID, embedded_gate_matrix, haar_unitary, random_state_vector
 from sectorsim.avalanche import scattering_matrix
 from sectorsim.hilbert import (
+    _SLAB_AMPS,
     DenseState,
     DimensionLimitError,
     TwoSiteGate,
@@ -74,6 +76,31 @@ class TestDenseStateValidation:
     def test_site_dimension_floor(self):
         with pytest.raises(ValueError):
             DenseState((1, 2), np.zeros(2, dtype=complex))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3, 2), (2,) * 12]),
+    scale=st.sampled_from([1.0, 1e200]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    data=st.data(),
+)
+def test_finiteness_verdict_on_both_routes(seed, dims, scale, bad, data):
+    # at scale 1e200 the sum of squares overflows, so the verdict comes
+    # from the elementwise scan; at scale 1 only the bad entry makes it
+    # non-finite
+    rng = np.random.default_rng(seed)
+    amps = random_state_vector(math.prod(dims), rng) * scale
+    parts = amps.view(np.float64)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(np.dot(parts, parts)) == (scale == 1.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert DenseState(dims, amps).amps.tobytes() == amps.tobytes()
+        parts[data.draw(st.integers(0, parts.size - 1), label="position")] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            DenseState(dims, amps)
 
 
 class TestTensorProduct:
@@ -284,3 +311,92 @@ def test_block_kernel_on_sparse_gates(kind, seed, dims, order, eta):
     assert np.max(np.abs(out.amps - full @ state.amps)) <= 1e-12
     assert np.array_equal(state.amps.view(np.uint64), before.view(np.uint64))
     assert not np.shares_memory(out.amps, state.amps)
+
+
+def _copy_and_strided_kernel(state: DenseState, gate: TwoSiteGate) -> np.ndarray:
+    """Reference gate kernel: one copy of the whole state, then strided
+    updates of every block a non-identity row writes."""
+    i, j = gate.sites
+    di, dj = state.dims[i], state.dims[j]
+    lo, hi = sorted((i, j))
+    dims = state.dims
+    shape = (math.prod(dims[hi + 1:]), dims[hi], math.prod(dims[lo + 1:hi]),
+             dims[lo], math.prod(dims[:lo]))
+    axes = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
+
+    def blocks(amps):
+        view = amps.reshape(shape).transpose(axes)
+        return [view[k % di, k // di] for k in range(di * dj)]
+
+    out = state.amps.copy()
+    src, dst = blocks(state.amps), blocks(out)
+    tmp = np.empty_like(dst[0])
+    for r, row in enumerate(gate.matrix.tolist()):
+        terms = [(k, c) for k, c in enumerate(row) if c]
+        if terms == [(r, 1)]:
+            continue
+        (k, c), *rest = terms
+        np.multiply(src[k], c, out=dst[r])
+        if not rest:
+            np.add(dst[r], 0.0, out=dst[r])
+        for k, c in rest:
+            np.multiply(src[k], c, out=tmp)
+            np.add(dst[r], tmp, out=dst[r])
+    return out
+
+
+def _gate_case(kind, dims, i, j, eta, seed):
+    """A state with exact zeros of both signs, so that a lone -1 coefficient
+    makes -0 from them, and a sparse gate on sites (i, j)."""
+    rng = np.random.default_rng(seed)
+    amps = random_state_vector(math.prod(dims), rng)
+    amps[rng.random(amps.size) < 0.3] = 0.0
+    amps[rng.random(amps.size) < 0.1] = complex(-0.0, -0.0)
+    gate_mat = _sparse_gate(kind, dims[i], dims[j], eta, rng)
+    return DenseState(dims, amps), TwoSiteGate((i, j), gate_mat)
+
+
+def _assert_matches_reference(state, gate):
+    before = state.amps.tobytes()
+    out = apply_two_site_gate(state, gate).amps.tobytes()
+    assert out == _copy_and_strided_kernel(state, gate).tobytes()
+    assert state.amps.tobytes() == before
+    # the benchmark's memory probe applies a gate to the same input again
+    assert apply_two_site_gate(state, gate).amps.tobytes() == out
+
+
+KINDS = ["permutation", "phases", "scattering", "kron"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    sites=st.lists(st.sampled_from([2, 3]), min_size=16, max_size=16),
+    extra=st.integers(0, 1),
+    order=st.data(),
+    eta=st.sampled_from(ETA_GRID + (-1.0,)),
+)
+def test_slab_kernel_matches_copy_and_strided_kernel(kind, seed, sites, extra, order, eta):
+    # the shortest prefix that outgrows one slab, and maybe one site more
+    n = next(m for m in range(1, len(sites) + 1) if math.prod(sites[:m]) > _SLAB_AMPS)
+    dims = sites[:n + extra]
+    i, j = order.draw(st.sampled_from([(a, b) for a in range(len(dims))
+                                       for b in range(len(dims)) if a != b]), label="sites")
+    if kind == "scattering":
+        dims[i] = dims[j] = 2
+    _assert_matches_reference(*_gate_case(kind, tuple(dims), i, j, eta, seed))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("eta", [1.0, -1.0])
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (2, 3), (3, 0), (0, 3), (8, 0), (1, 8)])
+def test_slab_kernel_with_a_partial_last_slab(kind, eta, pair):
+    # layers of 16 (512) amplitudes make slabs of 1024 (32) of the 7776
+    # (243) indices of the slowest axis: eight slabs, the last one partial
+    dims = (2,) * 9 + (3,) * 5
+    i, j = pair
+    above = math.prod(dims[max(pair) + 1:])
+    step = max(1, _SLAB_AMPS // math.prod(dims[:max(pair) + 1]))
+    assert above // step == 7 and above % step
+    _assert_matches_reference(*_gate_case(kind, dims, i, j, eta, sum(pair)))
