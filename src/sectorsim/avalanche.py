@@ -180,41 +180,39 @@ def scattering_gate(eta: complex, exciter: int, partner: int) -> TwoSiteGate:
 def generation_pairs(n: int) -> list[tuple[int, int]]:
     """Collision pairs fired at generation n >= 1: (k, k + 2**(n-1)).
 
-    A depth whose 2**(n-1) pairs pass the dimension guard is refused
-    before any of them is built."""
+    Each pair is charged as 16 amplitudes (a listed pair takes the bytes
+    of about 8), and a depth past the guard is refused before any is built."""
     n = _integral(n, "generations")
     if n < 1:
         raise ValueError(f"collisions start at generation 1, got {n}")
-    half = check_guard((2 for _ in range(n - 1)),
-                       f"generation {n} fires 2**{n - 1} collisions")
+    half = check_guard(itertools.chain((16,), (2 for _ in range(n - 1))),
+                       f"generation {n} fires 2**{n - 1} collisions") // 16
     return [(k, k + half) for k in range(half)]
 
 
-def _register_size(n_dopants: int) -> int:
-    """``n_dopants`` as an int, refused beyond the dimension guard before
-    any per-site tuple is built."""
+def _register(n_dopants: int, seed_label: int) -> DenseState:
+    """Register with site 0 in ``seed_label`` and the rest ground, refused
+    beyond the dimension guard before any per-site tuple is built."""
     n_dopants = _integral(n_dopants, "register sizes")
     check_guard((2 for _ in range(n_dopants)),
                 f"a register of {n_dopants} electrons needs 2**{n_dopants} amplitudes")
-    return n_dopants
+    return basis_state((2,) * n_dopants, (seed_label,) + (GROUND,) * (n_dopants - 1))
 
 
 def ground_register(n_dopants: int) -> DenseState:
     """All-ground register state."""
-    n_dopants = _register_size(n_dopants)
-    return basis_state((2,) * n_dopants, (GROUND,) * n_dopants)
+    return _register(n_dopants, GROUND)
 
 
 def seeded_register(n_dopants: int) -> DenseState:
     """Register with the seed electron (site 0) excited, rest ground."""
-    n_dopants = _register_size(n_dopants)
-    return basis_state((2,) * n_dopants, (EXCITED,) + (GROUND,) * (n_dopants - 1))
+    return _register(n_dopants, EXCITED)
 
 
 def cascade_generations(state: DenseState, eta: complex, n: int,
                         offsets: tuple[int, ...]) -> Iterator[DenseState]:
     """Yield ``state`` after generations 0, 1, ..., n of the collision
-    schedule, each built from the one before.
+    schedule, each built from the one before with the one collision matrix.
 
     ``offsets`` holds the site index of each register's electron 0; every
     collision pair fires in each register in ``offsets`` order before the
@@ -222,28 +220,22 @@ def cascade_generations(state: DenseState, eta: complex, n: int,
     drops each yielded state before asking for the next keeps one
     generation alive, as a rebuild from generation 0 would.
     """
+    collision = scattering_matrix(eta)
     yield state
     for g in range(1, n + 1):
         for exciter, partner in generation_pairs(g):
             for offset in offsets:
                 state = apply_two_site_gate(
-                    state, scattering_gate(eta, offset + exciter, offset + partner)
-                )
+                    state, TwoSiteGate((offset + exciter, offset + partner), collision))
         yield state
 
 
-def apply_cascade(state: DenseState, eta: complex, n: int, offsets: tuple[int, ...]) -> DenseState:
-    """Run generations 1..n of the collision schedule on a dense state."""
-    generations = cascade_generations(state, eta, n, offsets)
-    del state  # the generator holds the input only until its first gate
-    # islice drops generations 0..n-1 as it passes them
-    return next(itertools.islice(generations, n, None))
-
-
 def dense_avalanche(params: AvalancheParams, n: int) -> DenseState:
-    """State vector after n cascade generations from the seeded register."""
+    """Generation n of :func:`cascade_generations` from the seeded register."""
     n = _check_generation(params, n)
-    return apply_cascade(seeded_register(params.n_dopants), params.eta, n, (0,))
+    # the generator is the seed's only holder; islice drops each generation it passes
+    return next(itertools.islice(
+        cascade_generations(seeded_register(params.n_dopants), params.eta, n, (0,)), n, None))
 
 
 @dataclass(frozen=True)

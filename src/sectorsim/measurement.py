@@ -33,6 +33,7 @@ applying the same gates in the same order as a rebuild from generation 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import astuple, dataclass, field, replace
@@ -45,7 +46,6 @@ from .avalanche import (
     _check_generation,
     _rotation,
     _survival,
-    apply_cascade,
     cascade_generations,
     dense_ground_overlap,
     ground_register,
@@ -210,8 +210,9 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
     equals seeding only the clicked register.
     """
     n = _check_generation(setup.registers[0], n)
-    return apply_cascade(photoexcite(setup, initial_state(setup)), setup.eta, n,
-                         offsets=setup.seed_sites)
+    # the generator is the start state's only holder; islice drops each generation it passes
+    return next(itertools.islice(cascade_generations(
+        photoexcite(setup, initial_state(setup)), setup.eta, n, setup.seed_sites), n, None))
 
 
 def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) -> float:

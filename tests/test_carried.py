@@ -6,12 +6,15 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_DISC
+from sectorsim import avalanche
 from sectorsim.avalanche import (
     AvalancheParams,
     cascade_generations,
@@ -145,4 +148,24 @@ def test_dense_avalanche_holds_two_and_a_half_states():
     params = AvalancheParams(16, 0.6, 4)
     state_bytes = 16 << 16
     peak = peak_bytes(lambda: dense_avalanche(params, 4))
+    assert peak <= 2.5 * state_bytes + (64 << 10), peak / state_bytes
+
+
+@pytest.mark.parametrize("offsets", [(0,), (0, 8)])
+def test_cascade_builds_its_collision_matrix_once(offsets):
+    counted = mock.Mock(wraps=avalanche.scattering_matrix)
+    with mock.patch.object(avalanche, "scattering_matrix", counted):
+        generations = cascade_generations(seeded_register(16), 0.6, 3, offsets)
+        next(generations)
+        assert counted.call_count == 1
+        assert len(list(generations)) == 3
+    assert counted.call_count == 1
+
+
+def test_evolve_holds_two_and_a_half_joint_states():
+    # input and output of one gate plus its scratch block, the start state dropped
+    setup = MeasurementSetup(PhotonPolarisation(math.sqrt(0.7), math.sqrt(0.3)),
+                             0.5, 0.6, 7, 7, 2)
+    state_bytes = 16 * 3 << 14
+    peak = peak_bytes(lambda: evolve(setup, 2))
     assert peak <= 2.5 * state_bytes + (64 << 10), peak / state_bytes

@@ -320,6 +320,27 @@ def test_generation_pairs_refuses_a_depth_past_the_guard_before_building():
         assert peak < 64 << 10
 
 
+def test_generation_pairs_admits_no_list_larger_than_the_guard_in_amplitudes(monkeypatch):
+    guard = 1 << 14
+    monkeypatch.setenv("SECTORSIM_DIM_GUARD", str(guard))
+    deepest = 1
+    while True:
+        try:
+            generation_pairs(deepest + 1)
+        except DimensionLimitError:
+            break
+        deepest += 1
+    tracemalloc.start()
+    try:
+        generation_pairs(deepest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * guard, (deepest, peak)
+    with pytest.raises(DimensionLimitError, match=f"generation {deepest + 1} fires"):
+        generation_pairs(deepest + 1)
+
+
 def _under_guard(value, call):
     with mock.patch.dict(os.environ, {"SECTORSIM_DIM_GUARD": value}):
         return call()

@@ -27,34 +27,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SWEEP = ("measurement-sweep", "configs/measurement_sweep.cfg")
-CASCADE = ("avalanche-sweep", "configs/avalanche_sweep.cfg")
-COMMUTATOR = ("sector-commutator", "configs/sector_commutator.cfg")
-ORACLE = ("oracle-check", "configs/oracle_check.cfg")
-
-# (tag, (kind, config), overrides).  The shipped configs use only real
-# amplitudes and equal registers, so these also run complex, unit-modulus,
-# unequal-register, signed-zero, benchmark-size and other-route inputs.
+# (tag, config stem, overrides); each run's kind is its stem with "-" for
+# "_".  The shipped configs use only real amplitudes and equal registers,
+# so these also run complex, unit-modulus, unequal-register, signed-zero,
+# benchmark-size and other-route inputs.
 VARIANTS = (
-    ("complex", SWEEP, "eta_re=0.36 eta_im=0.48 delta_re=0.3 delta_im=0.4 h_re=0.48 h_im=0.64 v_re=0.6"),
-    ("delta_phase", SWEEP, "delta_re=-0.6 delta_im=0.8"),
-    ("delta_one", SWEEP, "delta_re=1.0"),
-    ("delta_i_dense", SWEEP, "delta_re=0 delta_im=1.0 engine=dense"),
-    ("v_only", SWEEP, "h_re=0 v_re=1 delta_re=0.3 delta_im=0.4"),
-    ("unequal", SWEEP, "A_H=3 A_V=5 n_max=1 eta_re=0.3 eta_im=-0.5"),
-    ("unequal_deep", SWEEP, "A_H=4 A_V=6 n_max=2 eta_re=0.3 eta_im=-0.5 delta_re=0.3 delta_im=0.4 "
-                            "h_re=0.48 h_im=0.64 v_re=0.6 engine=both"),
-    ("no_avalanche_structured", SWEEP, "reference=no_avalanche engine=structured"),
-    ("no_avalanche_dense", SWEEP, "reference=no_avalanche engine=dense eta_re=0.36 eta_im=0.48"),
-    ("complex_families", COMMUTATOR, "h_re=0.6 h_im=0 v_re=0 v_im=0.8 N=7"),
-    ("seed7", ORACLE, "seed=7"),
-    ("oracle_overrides", ORACLE, "seed=3 reference=no_avalanche engine=structured A_H=2 A_V=3 n_max=1 "
-                                 "h_re=0 v_re=1 delta_re=0.2 eta_re=0.1 eta_im=0.2 N=9"),
-    ("eta_one_dense", CASCADE, "eta_re=1.0 engine=dense"),
-    ("complex_both", CASCADE, "eta_re=0.3 eta_im=0.4 engine=both"),
-    ("h_minus", SWEEP, "h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 engine=dense delta_re=-0.0 delta_im=-1"),
-    ("dense_big", SWEEP, "A_H=8 A_V=8 n_max=3 engine=both eta_re=-0.5 eta_im=-0.5 delta_re=0.7 "
-                         "delta_im=-0.2 h_re=0.6 h_im=-0.1 v_re=0.7937253933193772"),
+    ("complex", "measurement_sweep",
+     "eta_re=0.36 eta_im=0.48 delta_re=0.3 delta_im=0.4 h_re=0.48 h_im=0.64 v_re=0.6"),
+    ("delta_phase", "measurement_sweep", "delta_re=-0.6 delta_im=0.8"),
+    ("delta_one", "measurement_sweep", "delta_re=1.0"),
+    ("delta_i_dense", "measurement_sweep", "delta_re=0 delta_im=1.0 engine=dense"),
+    ("v_only", "measurement_sweep", "h_re=0 v_re=1 delta_re=0.3 delta_im=0.4"),
+    ("unequal", "measurement_sweep", "A_H=3 A_V=5 n_max=1 eta_re=0.3 eta_im=-0.5"),
+    ("unequal_deep", "measurement_sweep",
+     "A_H=4 A_V=6 n_max=2 eta_re=0.3 eta_im=-0.5 delta_re=0.3 delta_im=0.4 "
+     "h_re=0.48 h_im=0.64 v_re=0.6 engine=both"),
+    ("no_avalanche_structured", "measurement_sweep", "reference=no_avalanche engine=structured"),
+    ("no_avalanche_dense", "measurement_sweep",
+     "reference=no_avalanche engine=dense eta_re=0.36 eta_im=0.48"),
+    ("complex_families", "sector_commutator", "h_re=0.6 h_im=0 v_re=0 v_im=0.8 N=7"),
+    ("seed7", "oracle_check", "seed=7"),
+    ("oracle_overrides", "oracle_check",
+     "seed=3 reference=no_avalanche engine=structured A_H=2 A_V=3 n_max=1 "
+     "h_re=0 v_re=1 delta_re=0.2 eta_re=0.1 eta_im=0.2 N=9"),
+    ("eta_one_dense", "avalanche_sweep", "eta_re=1.0 engine=dense"),
+    ("complex_both", "avalanche_sweep", "eta_re=0.3 eta_im=0.4 engine=both"),
+    ("h_minus", "measurement_sweep",
+     "h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 engine=dense delta_re=-0.0 delta_im=-1"),
+    ("dense_big", "measurement_sweep",
+     "A_H=8 A_V=8 n_max=3 engine=both eta_re=-0.5 eta_im=-0.5 delta_re=0.7 "
+     "delta_im=-0.2 h_re=0.6 h_im=-0.1 v_re=0.7937253933193772"),
 )
 
 # Runs the jobs read from stdin against the sectorsim found on PYTHONPATH,
@@ -79,16 +81,14 @@ print(json.dumps(codes))
 
 def jobs() -> list[tuple[str, list[str]]]:
     """(output file name, CLI arguments) for every comparison run."""
+    runs = [(cfg.stem, cfg.stem, "") for cfg in sorted((ROOT / "configs").glob("*.cfg"))]
+    runs += [(f"{stem}_{tag}", stem, pairs) for tag, stem, pairs in VARIANTS]
     out = []
-    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
-        for fmt in ("csv", "json"):
-            out.append((f"{cfg.stem}.{fmt}", [cfg.stem.replace("_", "-"),
-                                              "--config", f"configs/{cfg.name}", "--format", fmt]))
-    for tag, (kind, cfg), pairs in VARIANTS:
+    for name, stem, pairs in runs:
         sets = [arg for pair in pairs.split() for arg in ("--set", pair)]
         for fmt in ("csv", "json"):
-            out.append((f"{Path(cfg).stem}_{tag}.{fmt}",
-                        [kind, "--config", cfg, *sets, "--format", fmt]))
+            out.append((f"{name}.{fmt}", [stem.replace("_", "-"), "--config",
+                                          f"configs/{stem}.cfg", *sets, "--format", fmt]))
     return out
 
 
