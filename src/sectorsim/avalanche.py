@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -335,19 +336,22 @@ def block_ground_overlap(level: int, eta: complex) -> complex:
     return complex(_survival(eta)) if level else 0j
 
 
+def _no_avalanche_overlaps(eta: complex, n: int) -> Iterator[complex]:
+    """Yield :func:`overlap_no_avalanche` for generations 0, 1, ..., n in one fold."""
+    return itertools.accumulate((block_ground_overlap(level, eta) for level in range(1, n + 1)),
+                                operator.mul, initial=1.0 + 0j)
+
+
 def overlap_no_avalanche(params: AvalancheParams, n: int) -> complex:
     """<seed excited, all others ground | state_n>, evaluated in O(n).
 
     The seed block contributes 1 and each of the n higher blocks
     contributes its closed-form ground overlap sqrt(1 - |eta|^2), so the
-    result is (1 - |eta|^2)**(n/2).  The dense engine reproduces this
-    exponent.
+    result is (1 - |eta|^2)**(n/2), the dense engine's exponent too.  A
+    measurement sweep walks this fold once for all its generations.
     """
     n = _check_generation(params, n)
-    result = 1.0 + 0j
-    for level in range(1, n + 1):
-        result *= block_ground_overlap(level, params.eta)
-    return complex(result)
+    return next(itertools.islice(_no_avalanche_overlaps(params.eta, n), n, None))
 
 
 def overlap_ground(params: AvalancheParams, n: int) -> complex:

@@ -24,11 +24,12 @@ instead tracks the seeded-but-frozen register overlap, giving the factor
 storylines are reported side by side and agree only under the ground
 reference.
 
-The one dense driver is ``sector_parameter_sweep``, which the CLI's
-measurement sweep and oracle check use and ``sector_parameter_expectation``
-runs up to its generation.  It photoexcites once, then advances the joint
-state and the two cascaded pointer registers one generation at a time,
-applying the same gates in the same order as a rebuild from generation 0.
+``sector_parameter_sweep`` is the one driver, which the CLI's measurement
+sweep and oracle check use and whose record n ``sector_parameter_expectation``
+returns, on both routes.  Each route walks the generations once: the
+structured overlap gains one block factor per generation, and the dense
+route photoexcites once, then advances the joint state and the two
+cascaded pointer registers with the gates a rebuild would apply.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .avalanche import (
     AvalancheParams,
     _check_amplitude,
     _check_generation,
+    _no_avalanche_overlaps,
     _rotation,
     _survival,
     cascade_generations,
     dense_ground_overlap,
     ground_register,
     overlap_ground,
-    overlap_no_avalanche,
     seeded_register,
 )
 from .hilbert import (
@@ -232,26 +233,19 @@ def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) ->
     return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
 
 
-def _check_reference(reference: str) -> None:
-    if reference not in REFERENCES:
-        raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
-
-
-def _record(setup: MeasurementSetup, n: int, reference: str,
+def _record(setup: MeasurementSetup, n: int, reference: str, overlap: complex,
             direct: float | None) -> MeasurementRecord:
-    """Generation n's record: the O(n) structured formula beside ``direct``."""
-    overlap = overlap_ground if reference == "ground" else overlap_no_avalanche
-    x_h, x_v = (overlap(params, n) for params in setup.registers)
+    """Generation n's record: the formula from the registers' shared overlap, beside ``direct``."""
     pol = setup.pol
     contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
-    formula = contrast * (1.0 - abs(x_h * x_v) ** 2)
+    formula = contrast * (1.0 - abs(overlap * overlap) ** 2)
     return MeasurementRecord(
         n=n,
         m_electrons=1 << n,
         expectation_direct=direct,
         expectation_formula=float(formula),
-        overlap_h=complex(x_h),
-        overlap_v=complex(x_v),
+        overlap_h=complex(overlap),
+        overlap_v=complex(overlap),
         limit=float(contrast),
         reference=reference,
     )
@@ -265,16 +259,12 @@ def sector_parameter_expectation(
 ) -> MeasurementRecord:
     """Pointer expectation after n generations, by formula and (optionally) dense sandwich.
 
-    The O(n) structured evaluation always runs.  ``compute_direct=True``
-    returns record n of :func:`sector_parameter_sweep` run to depth n, whose
-    dense sandwich over 3 * 2**(A_H + A_V) amplitudes raises
+    Record n of :func:`sector_parameter_sweep` run to depth n, on both routes.
+    The dense sandwich over 3 * 2**(A_H + A_V) amplitudes raises
     ``DimensionLimitError`` beyond the guard; the guard never picks the route.
     """
     n = _check_generation(setup.registers[0], n)
-    _check_reference(reference)
-    if compute_direct:
-        return sector_parameter_sweep(replace(setup, n_max=n), reference, compute_direct=True)[n]
-    return _record(setup, n, reference, None)
+    return sector_parameter_sweep(replace(setup, n_max=n), reference, compute_direct)[n]
 
 
 def sector_parameter_sweep(
@@ -284,24 +274,28 @@ def sector_parameter_sweep(
 ) -> list[MeasurementRecord]:
     """Records for generations 0..n_max, the structured formula in each.
 
-    With ``compute_direct`` the dense route photoexcites once, then
-    carries the joint state and both cascaded pointer registers forward
-    one generation at a time, with the gates a rebuild from generation 0
-    would apply, in the same order.
+    Both routes walk the generations once.  Each generation reads one overlap,
+    shared by both registers; the no_avalanche one gains one block factor.
+    With ``compute_direct`` the dense route photoexcites once, then carries the
+    joint and pointer states forward with a rebuild's gates, in a rebuild's order.
     """
-    _check_reference(reference)
+    if reference not in REFERENCES:
+        raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
     generations = range(setup.n_max + 1)
-    if not compute_direct:
-        return [_record(setup, n, reference, None) for n in generations]
-    joint = cascade_generations(photoexcite(setup, initial_state(setup)), setup.eta,
-                                setup.n_max, setup.seed_sites)
-    pointers = [cascade_generations(seeded_register(params.n_dopants), params.eta,
-                                    params.n_max, (0,)) for params in setup.registers]
-    # each state goes straight into the sandwich and is bound to no name, so
-    # no generation is held here while the next one is built
-    return [_record(setup, n, reference, _pointer_expectation(
-                setup, next(joint), [next(register) for register in pointers]))
-            for n in generations]
+    overlaps = ((overlap_ground(setup.registers[0], n) for n in generations)
+                if reference == "ground" else _no_avalanche_overlaps(setup.eta, setup.n_max))
+    directs = itertools.repeat(None)
+    if compute_direct:
+        joint = cascade_generations(photoexcite(setup, initial_state(setup)), setup.eta,
+                                    setup.n_max, setup.seed_sites)
+        pointers = [cascade_generations(seeded_register(params.n_dopants), params.eta,
+                                        params.n_max, (0,)) for params in setup.registers]
+        # each state goes straight into the sandwich and is bound to no name, so
+        # no generation is held here while the next one is built
+        directs = (_pointer_expectation(setup, next(joint), [next(r) for r in pointers])
+                   for _ in generations)
+    return [_record(setup, n, reference, overlap, direct)
+            for n, overlap, direct in zip(generations, overlaps, directs)]
 
 
 def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:

@@ -10,16 +10,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_DISC
-from sectorsim import avalanche
+from sectorsim import avalanche, measurement
 from sectorsim.avalanche import (
     AvalancheParams,
+    block_ground_overlap,
     cascade_generations,
     dense_avalanche,
     generation_pairs,
+    overlap_ground,
+    overlap_no_avalanche,
     scattering_gate,
     seeded_register,
 )
@@ -169,3 +172,48 @@ def test_evolve_holds_two_and_a_half_joint_states():
     state_bytes = 16 * 3 << 14
     peak = peak_bytes(lambda: evolve(setup, 2))
     assert peak <= 2.5 * state_bytes + (64 << 10), peak / state_bytes
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 40])
+def test_structured_sweep_folds_each_block_once(depth):
+    setup = MeasurementSetup(PhotonPolarisation(0.6, 0.8), 0.5, 0.6, 1 << depth,
+                             3 << depth, depth)
+    counted = mock.Mock(wraps=avalanche.block_ground_overlap)
+    with mock.patch.object(avalanche, "block_ground_overlap", counted):
+        sector_parameter_sweep(setup, "no_avalanche")
+    assert counted.call_count == depth
+    counted = mock.Mock(wraps=measurement.overlap_ground)
+    with mock.patch.object(measurement, "overlap_ground", counted):
+        sector_parameter_sweep(setup, "ground")
+    assert counted.call_count == depth + 1
+
+
+def folded(eta, n):
+    """overlap_no_avalanche as one explicit product over the blocks."""
+    result = 1.0 + 0j
+    for level in range(1, n + 1):
+        result *= block_ground_overlap(level, eta)
+    return result
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a_h=st.integers(1, 1 << 12), a_v=st.integers(1, 1 << 12), eta=UNIT_DISC,
+       delta=UNIT_DISC, pol=POLARISATIONS,
+       reference=st.sampled_from(["ground", "no_avalanche"]))
+@example(a_h=8, a_v=1 << 12, eta=1e-170, delta=1.0, pol=(0.6, 0.8), reference="no_avalanche")
+@example(a_h=4, a_v=9, eta=complex(-0.0, -0.0), delta=-1j, pol=(0.0, -1.0),
+         reference="no_avalanche")
+def test_carried_overlaps_keep_the_per_register_bits(a_h, a_v, eta, delta, pol, reference):
+    assume(a_h != a_v)
+    n_max = min(a_h, a_v).bit_length() - 1
+    setup = MeasurementSetup(PhotonPolarisation(*pol), delta, eta, a_h, a_v, n_max)
+    overlap = overlap_ground if reference == "ground" else overlap_no_avalanche
+    contrast = abs(setup.delta) ** 2 * (abs(setup.pol.h) ** 2 - abs(setup.pol.v) ** 2)
+    for rec in sector_parameter_sweep(setup, reference):
+        x_h, x_v = (overlap(params, rec.n) for params in setup.registers)
+        assert bits(rec.overlap_h) == bits(x_h) and bits(rec.overlap_v) == bits(x_v), rec
+        want = float(contrast * (1.0 - abs(x_h * x_v) ** 2))
+        assert bits(rec.expectation_formula) == bits(want), (rec, want)
+        for params in setup.registers:
+            assert bits(overlap_no_avalanche(params, rec.n)) == \
+                bits(folded(params.eta, rec.n)), (params, rec.n)

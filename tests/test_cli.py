@@ -8,7 +8,9 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 from unittest import mock
 
@@ -491,3 +493,15 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,M,overlap_re")
+
+
+def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "sectorsim.cli", "avalanche-sweep", "--set"]
+    proc = subprocess.run(argv + ["n_max=1"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,M,overlap_re")
+    proc = subprocess.run(argv + ["bogus=1"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
