@@ -17,6 +17,7 @@ from sectorsim import (
     density_terms,
     evolve,
     sector_parameter_expectation,
+    sector_parameter_sweep,
 )
 
 # %%
@@ -64,9 +65,8 @@ print("cross terms:", terms["no_click_h_cross"], terms["no_click_v_cross"],
 
 print("\nground reference:")
 print("n  M  direct           formula          limit")
-for n in range(3):
-    rec = sector_parameter_expectation(setup, n, compute_direct=True)
-    print(f"{n}  {rec.m_electrons}  {rec.expectation_direct:<16.12f}"
+for rec in sector_parameter_sweep(setup, compute_direct=True):
+    print(f"{rec.n}  {rec.m_electrons}  {rec.expectation_direct:<16.12f}"
           f" {rec.expectation_formula:<16.12f} {rec.limit}")
 
 # %%
@@ -76,10 +76,8 @@ for n in range(3):
 
 print("\nno-avalanche reference:")
 print("n  formula          limit")
-for n in range(3):
-    rec = sector_parameter_expectation(setup, n, reference="no_avalanche",
-                                       compute_direct=False)
-    print(f"{n}  {rec.expectation_formula:<16.12f} {rec.limit}")
+for rec in sector_parameter_sweep(setup, reference="no_avalanche"):
+    print(f"{rec.n}  {rec.expectation_formula:<16.12f} {rec.limit}")
 
 # %%
 # Macroscopic registers

@@ -83,6 +83,7 @@ __all__ = [
     "qnd_premeasure",
     "qnd_sample",
     "sector_parameter_expectation",
+    "sector_parameter_sweep",
 ]
 
 PHOTON_VAC = 0

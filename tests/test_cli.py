@@ -261,6 +261,32 @@ class TestOtherKinds:
         assert plain[0] == 0
 
 
+class TestEngineRule:
+    """structured runs no dense engine, dense and both run it, and only both
+    adds abs_diff and gates on it."""
+
+    @pytest.mark.parametrize("engine", cli.ENGINES)
+    @pytest.mark.parametrize("kind, dense_column", [
+        ("measurement-sweep", "expectation_direct"),
+        ("sector-commutator", "dense_norm"),
+    ])
+    def test_dense_column_and_abs_diff_follow_the_engine(self, capsys, kind, dense_column,
+                                                         engine):
+        code, out, err = run_cli(capsys, kind, "--set", f"engine={engine}")
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert all(math.isnan(float(r[dense_column])) == (engine == "structured") for r in rows)
+        assert all(("abs_diff" in r) == (engine == "both") for r in rows)
+
+    def test_dense_engine_does_not_gate(self, capsys):
+        # the no_avalanche formula differs from the dense sandwich, which
+        # exits 4 under both (test_engine_disagreement_exits_4)
+        code, out, err = run_cli(capsys, "measurement-sweep", "--set", "engine=dense",
+                                 "--set", "reference=no_avalanche", "--set", "delta_re=0.5")
+        assert code == 0 and err == ""
+        assert "abs_diff" not in out.splitlines()[0]
+
+
 class TestRendering:
     def test_csv_floats_round_trip_exactly(self, capsys):
         cfg = build_config("avalanche-sweep",
@@ -448,6 +474,7 @@ SET_VALUES = st.one_of(
     st.floats(-2.0, 2.0).map(repr),
     st.text(max_size=6),
 )
+SWEEPS = ("avalanche-sweep", "measurement-sweep", "sector-commutator")
 SET_PAIRS = st.lists(st.tuples(st.sampled_from(sorted(cli._KEY_TYPES)), SET_VALUES),
                      min_size=1, max_size=2)
 
@@ -468,19 +495,58 @@ def test_any_set_value_gives_a_documented_exit_code(kind, pairs):
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         code = main(argv)
     assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    # the engine rule: only both compares engines in a sweep, so only both,
+    # or the oracle check, can report a disagreement
+    engine = dict(pairs).get("engine", "structured").strip()
+    assert code != 4 or engine == "both" or kind == "oracle-check", (code, err.getvalue())
     if code != 0:
         return
-    # a structured measurement sweep has no dense number, so it prints NaN
-    engine = dict(pairs).get("engine", "structured").strip()
-    no_dense = {"expectation_direct", "abs_diff"} if (
-        kind == "measurement-sweep" and engine == "structured") else set()
-    for row in csv.DictReader(io.StringIO(out.getvalue())):
+    # structured runs no dense engine, so its dense columns print NaN, and
+    # only both adds the abs_diff column
+    no_dense = {"expectation_direct", "dense_norm"} if engine == "structured" else set()
+    reader = csv.DictReader(io.StringIO(out.getvalue()))
+    assert ("abs_diff" in reader.fieldnames) == (engine == "both" and kind in SWEEPS), (
+        reader.fieldnames)
+    for row in reader:
         for column, cell in row.items():
             try:
                 number = float(cell)
             except ValueError:
                 continue  # a label such as "ok" or "H"
             assert math.isfinite(number) or column in no_dense, (column, cell)
+
+
+@st.composite
+def deep_structured_runs(draw):
+    """A sweep kind and its size keys, far past any dense vector: registers
+    of up to 2**1000 electrons at depths up to 64, or up to 64 sites."""
+    kind = draw(st.sampled_from(SWEEPS))
+    if kind == "sector-commutator":
+        return kind, {"N": draw(st.integers(2, 64))}
+    keys = ("A",) if kind == "avalanche-sweep" else ("A_H", "A_V")
+    sets = {key: draw(st.integers(1, 2**1000)) for key in keys}
+    deepest = min(64, min(sets.values()).bit_length() - 1)  # 2**n_max <= each size
+    return kind, {**sets, "n_max": draw(st.integers(0, deepest))}
+
+
+# under a guard of 2 amplitudes any dense allocation would exit 3
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(run=deep_structured_runs())
+@example(run=("avalanche-sweep", {"A": 2**1000, "n_max": 64}))
+@example(run=("measurement-sweep", {"A_H": 2**1000, "A_V": 2**1000, "n_max": 64}))
+@example(run=("sector-commutator", {"N": 64}))
+def test_structured_sweeps_run_no_dense_engine(run):
+    kind, sets = run
+    argv = [kind, "--set", "engine=structured"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"SECTORSIM_DIM_GUARD": "2"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        code = main(argv)
+    assert code == 0, (code, err.getvalue())
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert len(rows) == (sets["N"] - 1 if kind == "sector-commutator" else sets["n_max"] + 1)
 
 
 @pytest.mark.skipif(shutil.which("simulate") is None,

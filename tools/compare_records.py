@@ -11,8 +11,9 @@ working tree's configs for both.  The base sources are extracted with
 metadata is never touched.
 
 The script prints every output file whose bytes differ between the two
-sides.  It exits 1 if a file differs that no ``--expect`` names, or if
-any run in either tree exits nonzero, and 0 otherwise.
+sides.  It exits 1 if a file differs that no ``--expect`` names, if a
+file that ``--expect`` names does not differ, or if any run in either
+tree exits nonzero, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ VARIANTS = (
     ("no_avalanche_dense", "measurement_sweep",
      "reference=no_avalanche engine=dense eta_re=0.36 eta_im=0.48"),
     ("complex_families", "sector_commutator", "h_re=0.6 h_im=0 v_re=0 v_im=0.8 N=7"),
+    ("structured", "sector_commutator", "engine=structured N=12"),
     ("seed7", "oracle_check", "seed=7"),
     ("oracle_overrides", "oracle_check",
      "seed=3 reference=no_avalanche engine=structured A_H=2 A_V=3 n_max=1 "
@@ -132,9 +134,13 @@ def main(argv=None) -> int:
     for line in failed:
         print(f"nonzero exit in {line}")
     unexpected = [name for name in changed if name not in args.expect]
+    stale = sorted(set(args.expect) - set(changed))
+    for name in stale:
+        print(f"expected to differ but does not: {name}")
     print(f"{len(runs)} files compared, {len(changed)} differ, "
-          f"{len(unexpected)} unexpectedly; {len(failed)} nonzero exits")
-    return 1 if unexpected or failed else 0
+          f"{len(unexpected)} unexpectedly, {len(stale)} expected ones do not; "
+          f"{len(failed)} nonzero exits")
+    return 1 if unexpected or stale or failed else 0
 
 
 if __name__ == "__main__":
