@@ -210,20 +210,21 @@ def seeded_register(n_dopants: int) -> DenseState:
     return _register(n_dopants, EXCITED)
 
 
-def cascade_generations(state: DenseState, eta: complex, n: int,
+def cascade_generations(state: DenseState, eta: complex,
                         offsets: tuple[int, ...]) -> Iterator[DenseState]:
-    """Yield ``state`` after generations 0, 1, ..., n of the collision
-    schedule, each built from the one before with the one collision matrix.
-
-    ``offsets`` holds the site index of each register's electron 0; every
-    collision pair fires in each register in ``offsets`` order before the
-    next pair.  Only the latest generation is held here, so a caller that
-    drops each yielded state before asking for the next keeps one
-    generation alive, as a rebuild from generation 0 would.
+    """Yield ``state`` after generations 0, 1, 2, ... of the collision
+    schedule, each built from the one before with one collision matrix, for
+    as long as the reader asks.  ``offsets`` holds the site index of each
+    register's electron 0; every collision pair fires in each register in
+    ``offsets`` order before the next pair.  A read past the last register
+    raises ValueError from the gate's site check, a read past an earlier one
+    does not, so each reader checks its depth.  Only the latest generation
+    is held here, so a caller that drops each yielded state before asking
+    for the next keeps one generation alive, as a rebuild would.
     """
     collision = scattering_matrix(eta)
     yield state
-    for g in range(1, n + 1):
+    for g in itertools.count(1):
         for exciter, partner in generation_pairs(g):
             for offset in offsets:
                 state = apply_two_site_gate(
@@ -236,7 +237,7 @@ def dense_avalanche(params: AvalancheParams, n: int) -> DenseState:
     n = _check_generation(params, n)
     # the generator is the seed's only holder; islice drops each generation it passes
     return next(itertools.islice(
-        cascade_generations(seeded_register(params.n_dopants), params.eta, n, (0,)), n, None))
+        cascade_generations(seeded_register(params.n_dopants), params.eta, (0,)), n, None))
 
 
 @dataclass(frozen=True)
@@ -336,9 +337,9 @@ def block_ground_overlap(level: int, eta: complex) -> complex:
     return complex(_survival(eta)) if level else 0j
 
 
-def _no_avalanche_overlaps(eta: complex, n: int) -> Iterator[complex]:
-    """Yield :func:`overlap_no_avalanche` for generations 0, 1, ..., n in one fold."""
-    return itertools.accumulate((block_ground_overlap(level, eta) for level in range(1, n + 1)),
+def _no_avalanche_overlaps(eta: complex) -> Iterator[complex]:
+    """Yield :func:`overlap_no_avalanche` for n = 0, 1, 2, ... in one fold, as far as read."""
+    return itertools.accumulate((block_ground_overlap(level, eta) for level in itertools.count(1)),
                                 operator.mul, initial=1.0 + 0j)
 
 
@@ -351,7 +352,7 @@ def overlap_no_avalanche(params: AvalancheParams, n: int) -> complex:
     measurement sweep walks this fold once for all its generations.
     """
     n = _check_generation(params, n)
-    return next(itertools.islice(_no_avalanche_overlaps(params.eta, n), n, None))
+    return next(itertools.islice(_no_avalanche_overlaps(params.eta), n, None))
 
 
 def overlap_ground(params: AvalancheParams, n: int) -> complex:

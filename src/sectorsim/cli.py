@@ -254,11 +254,10 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
         # row idx holds the labels of flat index idx, electron 0 fastest
         every_config = (np.arange(1 << n_dopants)[:, None] >> np.arange(n_dopants)) & 1
         deepest = min(3, n_dopants.bit_length() - 1)  # 2**n <= n_dopants
-        for eta in (0.0, 0.3, 0.6, 1.0):
+        for eta in (0.0, 0.3, 0.36 + 0.48j, 1.0):
             # one dense cascade per register and eta, read at every generation
             params = AvalancheParams(n_dopants, eta, deepest)
-            generations = cascade_generations(seeded_register(n_dopants), params.eta,
-                                              deepest, (0,))
+            generations = cascade_generations(seeded_register(n_dopants), params.eta, (0,))
             for n in range(deepest + 1):
                 errors += _cascade_errors(params, n, next(generations), every_config)
                 cases += len(every_config)
@@ -295,11 +294,12 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
     records.append(_check_row("commutator_decay", len(rows), errors, 1e-10))
 
     # measurement: the measurement sweep's dense sandwich against the closed
-    # form (ground reference), one replace per (delta, |h|^2) point
+    # form (ground reference), one replace per (delta, |h|^2) point; complex
+    # amplitudes show phases, unequal registers show where the V seed sits
     points = [replace(cfg, h_re=math.sqrt(h_sq), h_im=0.0, v_re=math.sqrt(1.0 - h_sq),
-                      v_im=0.0, delta_re=delta, delta_im=0.0, eta_re=0.6, eta_im=0.0,
-                      A_H=4, A_V=4, n_max=2, engine="both", reference="ground")
-              for delta in (0.6, 1.0) for h_sq in (0.3, 1.0)]
+                      v_im=0.0, delta_re=delta.real, delta_im=delta.imag, eta_re=0.36,
+                      eta_im=0.48, A_H=4, A_V=a_v, n_max=2, engine="both", reference="ground")
+              for delta, a_v in ((0.36 + 0.48j, 4), (1j, 5)) for h_sq in (0.3, 1.0)]
     rows = [row for point in points for row in _run_measurement_sweep(point)]
     records.append(_check_row("measurement_pointer", len(rows),
                               [r["abs_diff"] for r in rows], 1e-10))

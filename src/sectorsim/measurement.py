@@ -173,7 +173,6 @@ class MeasurementRecord:
     overlap_h: complex
     overlap_v: complex
     limit: float
-    reference: str
 
 
 def _photon_ket(pol: PhotonPolarisation) -> DenseState:
@@ -214,7 +213,7 @@ def evolve(setup: MeasurementSetup, n: int) -> DenseState:
     n = _check_generation(setup.registers[0], n)
     # the generator is the start state's only holder; islice drops each generation it passes
     return next(itertools.islice(cascade_generations(
-        photoexcite(setup, initial_state(setup)), setup.eta, n, setup.seed_sites), n, None))
+        photoexcite(setup, initial_state(setup)), setup.eta, setup.seed_sites), n, None))
 
 
 def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) -> float:
@@ -234,7 +233,7 @@ def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) ->
     return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
 
 
-def _record(setup: MeasurementSetup, n: int, reference: str, overlap: complex,
+def _record(setup: MeasurementSetup, n: int, overlap: complex,
             direct: float | None) -> MeasurementRecord:
     """Generation n's record: the formula from the registers' shared overlap, beside ``direct``."""
     pol = setup.pol
@@ -248,7 +247,6 @@ def _record(setup: MeasurementSetup, n: int, reference: str, overlap: complex,
         overlap_h=complex(overlap),
         overlap_v=complex(overlap),
         limit=float(contrast),
-        reference=reference,
     )
 
 
@@ -284,18 +282,19 @@ def sector_parameter_sweep(
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
     generations = range(setup.n_max + 1)
     overlaps = ((overlap_ground(setup.registers[0], n) for n in generations)
-                if reference == "ground" else _no_avalanche_overlaps(setup.eta, setup.n_max))
+                if reference == "ground" else _no_avalanche_overlaps(setup.eta))
     directs = itertools.repeat(None)
     if compute_direct:
         joint = cascade_generations(photoexcite(setup, initial_state(setup)), setup.eta,
-                                    setup.n_max, setup.seed_sites)
-        pointers = [cascade_generations(seeded_register(params.n_dopants), params.eta,
-                                        params.n_max, (0,)) for params in setup.registers]
+                                    setup.seed_sites)
+        pointers = [cascade_generations(seeded_register(params.n_dopants), params.eta, (0,))
+                    for params in setup.registers]
         # each state goes straight into the sandwich and is bound to no name, so
         # no generation is held here while the next one is built
         directs = (_pointer_expectation(setup, next(joint), [next(r) for r in pointers])
                    for _ in generations)
-    return [_record(setup, n, reference, overlap, direct)
+    # zip asks generations first, so no stream builds a generation past n_max
+    return [_record(setup, n, overlap, direct)
             for n, overlap, direct in zip(generations, overlaps, directs)]
 
 

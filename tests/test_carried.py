@@ -4,6 +4,7 @@ an earlier generation alive while it builds the next."""
 
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -73,7 +74,7 @@ def test_generations_match_a_rebuild_bit_for_bit(n_dopants, eta):
     n_max = n_dopants.bit_length() - 1
     params = AvalancheParams(n_dopants, eta, n_max)
     start = seeded_register(n_dopants)
-    carried = list(cascade_generations(start, params.eta, n_max, (0,)))
+    carried = list(itertools.islice(cascade_generations(start, params.eta, (0,)), n_max + 1))
     assert len(carried) == n_max + 1
     for n, state in enumerate(carried):
         want = dense_avalanche(params, n).amps.view(np.uint64)
@@ -158,10 +159,10 @@ def test_dense_avalanche_holds_two_and_a_half_states():
 def test_cascade_builds_its_collision_matrix_once(offsets):
     counted = mock.Mock(wraps=avalanche.scattering_matrix)
     with mock.patch.object(avalanche, "scattering_matrix", counted):
-        generations = cascade_generations(seeded_register(16), 0.6, 3, offsets)
+        generations = cascade_generations(seeded_register(16), 0.6, offsets)
         next(generations)
         assert counted.call_count == 1
-        assert len(list(generations)) == 3
+        assert len(list(itertools.islice(generations, 3))) == 3
     assert counted.call_count == 1
 
 
@@ -186,6 +187,30 @@ def test_structured_sweep_folds_each_block_once(depth):
     with mock.patch.object(measurement, "overlap_ground", counted):
         sector_parameter_sweep(setup, "ground")
     assert counted.call_count == depth + 1
+
+
+def calls_made(call):
+    """(gates applied through ``avalanche``, block factors) during ``call()``."""
+    gates = mock.Mock(wraps=avalanche.apply_two_site_gate)
+    factors = mock.Mock(wraps=avalanche.block_ground_overlap)
+    with mock.patch.object(avalanche, "apply_two_site_gate", gates), \
+            mock.patch.object(avalanche, "block_ground_overlap", factors):
+        call()
+    return gates.call_count, factors.call_count
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_each_reader_takes_exactly_generation_n(n):
+    # the streams have no depth of their own, so a reader that asks for one
+    # generation too many builds it; A = 8 holds generation 3 and no more
+    setup = MeasurementSetup(PhotonPolarisation(0.6, 0.8), 0.5, 0.36 + 0.48j, 8, 8, n)
+    params = setup.registers[0]
+    cascade = (1 << n) - 1  # collisions in generations 1..n of one register
+    assert calls_made(lambda: dense_avalanche(params, n)) == (cascade, 0)
+    assert calls_made(lambda: overlap_no_avalanche(params, n)) == (0, n)
+    assert calls_made(lambda: evolve(setup, n)) == (2 * cascade, 0)
+    assert calls_made(lambda: sector_parameter_sweep(setup, "no_avalanche", True)) == \
+        (4 * cascade, n)
 
 
 def folded(eta, n):

@@ -2,14 +2,18 @@
 
 Each defect replaces one name in every package namespace that binds it,
 so no caller keeps the intact function, and the oracle must then report
-``cascade_engines`` as failed and exit 4.  The dense commutator must fail
-closed the same way: a sector product that turns NaN, or a Lanczos step
-cap too low to converge, makes ``sector-commutator engine=both`` and
-``oracle-check`` exit 4.
+``cascade_engines`` as failed and exit 4.  The grid must see phases and
+the V register's size: a conjugated or swapped edge table fails
+``cascade_engines``, a V seed counted from the wrong register fails
+``measurement_pointer``.  The dense commutator must fail closed the same
+way: a sector product that turns NaN, or a Lanczos step cap too low to
+converge, makes ``sector-commutator engine=both`` and ``oracle-check``
+exit 4.
 """
 
 import contextlib
 import csv
+import inspect
 import io
 import math
 
@@ -51,6 +55,46 @@ def test_oracle_check_fails_on_planted_defect(name, monkeypatch):
     status = {r["check"]: r["status"] for r in csv.DictReader(out.getvalue().splitlines())}
     assert status["cascade_engines"] == "fail"
     assert "engine disagreement" in err.getvalue()
+
+
+def edited(function, old, new):
+    """``function`` recompiled from its source with ``old`` replaced by ``new``,
+    its globals still its module's."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(function)), namespace)
+    return namespace[function.__name__]
+
+
+TABLE = "[1.0, 0.0, _survival(params.eta), params.eta]"
+CONJUGATED_ETA = edited(avalanche.structured_amplitude, TABLE,
+                        "[1.0, 0.0, _survival(params.eta), np.conj(params.eta)]")
+SWAPPED_TABLE = edited(avalanche.structured_amplitude, TABLE,
+                       "[1.0, 0.0, params.eta, _survival(params.eta)]")
+
+# each plants one defect as (owner, name, value) replacements, and names the
+# one oracle check that must then fail
+GRID_PLANTS = {
+    "conjugated_eta_table": ([(avalanche, "structured_amplitude", CONJUGATED_ETA),
+                              (cli, "structured_amplitude", CONJUGATED_ETA)], "cascade_engines"),
+    "eta_and_survival_swapped": ([(avalanche, "structured_amplitude", SWAPPED_TABLE),
+                                  (cli, "structured_amplitude", SWAPPED_TABLE)],
+                                 "cascade_engines"),
+    "v_seed_counted_from_v": ([(measurement.MeasurementSetup, "seed_sites",
+                                property(lambda setup: (1, 1 + setup.n_dopants_v)))],
+                              "measurement_pointer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PLANTS))
+def test_oracle_grid_sees_phases_and_register_sizes(name, monkeypatch):
+    replacements, failing = GRID_PLANTS[name]
+    for owner, attr, value in replacements:
+        monkeypatch.setattr(owner, attr, value)
+    code, rows, err = _run("oracle-check")
+    assert code == 4, err
+    assert {r["check"] for r in rows if r["status"] == "fail"} == {failing}
 
 
 def nan_product(family, vec):

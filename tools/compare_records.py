@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CLI records of a base revision with those of the working tree.
 
-    python tools/compare_records.py BASE_REV [--expect FILE ...]
+    python tools/compare_records.py BASE_REV
 
 Every shipped ``configs/*.cfg`` runs in
 both formats, and so does each variant in ``VARIANTS``, once against the
@@ -11,9 +11,9 @@ working tree's configs for both.  The base sources are extracted with
 metadata is never touched.
 
 The script prints every output file whose bytes differ between the two
-sides.  It exits 1 if a file differs that no ``--expect`` names, if a
-file that ``--expect`` names does not differ, or if any run in either
-tree exits nonzero, and 0 otherwise.
+sides.  It exits 1 if a file differs that no ``Records-changed:`` trailer
+in ``BASE_REV..HEAD`` declares, if a declared file does not differ, or if
+any run in either tree exits nonzero, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -112,12 +112,18 @@ def differing(base: Path, head: Path) -> list[str]:
                     and (base / name).read_bytes() == (head / name).read_bytes())]
 
 
+def declared(base_rev: str, repo: Path = ROOT) -> set[str]:
+    """Names in the space-separated ``Records-changed:`` trailers of ``base_rev..HEAD``."""
+    return set(subprocess.run(["git", "log", "--format=%(trailers:key=Records-changed,valueonly)",
+                               f"{base_rev}..HEAD"], cwd=repo, capture_output=True, text=True,
+                              check=True).stdout.split())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_rev", help="git revision whose src/ is the base side")
-    parser.add_argument("--expect", nargs="+", default=[], metavar="FILE",
-                        help="output files that are expected to differ")
     args = parser.parse_args(argv)
+    expect = declared(args.base_rev)
     runs = jobs()
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.base_rev, "src"],
@@ -130,15 +136,15 @@ def main(argv=None) -> int:
     failed = [f"{side}: {name} exited {code}" for side, by_name in codes.items()
               for name, code in by_name.items() if code != 0]
     for name in changed:
-        print(f"differs: {name}" + (" (expected)" if name in args.expect else ""))
+        print(f"differs: {name}" + (" (declared)" if name in expect else ""))
     for line in failed:
         print(f"nonzero exit in {line}")
-    unexpected = [name for name in changed if name not in args.expect]
-    stale = sorted(set(args.expect) - set(changed))
+    unexpected = [name for name in changed if name not in expect]
+    stale = sorted(expect - set(changed))
     for name in stale:
-        print(f"expected to differ but does not: {name}")
+        print(f"declared but does not differ: {name}")
     print(f"{len(runs)} files compared, {len(changed)} differ, "
-          f"{len(unexpected)} unexpectedly, {len(stale)} expected ones do not; "
+          f"{len(unexpected)} undeclared, {len(stale)} declared ones do not; "
           f"{len(failed)} nonzero exits")
     return 1 if unexpected or stale or failed else 0
 
