@@ -59,7 +59,7 @@ family2 = ElementaryFamily((KET0, KET0))
 state2 = ProductState((KET1, KET0))
 action = sector_apply(family2, state2)
 print("\naction terms on (|1>, |0>) against reference (|0>, |0>):")
-for coef, term in action.terms:
+for coef, term in action:
     sites = [np.round(v, 4) for v in term.psi]
     print(f"  coefficient {coef:.4f} on product state {sites}")
 

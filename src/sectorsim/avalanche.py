@@ -82,7 +82,6 @@ __all__ = [
     "ground_register",
     "overlap_ground",
     "overlap_no_avalanche",
-    "scattering_gate",
     "scattering_matrix",
     "seeded_register",
     "structured_amplitude",
@@ -173,11 +172,6 @@ def scattering_matrix(eta: complex) -> np.ndarray:
     return _rotation(4, 1, 3, _check_amplitude(eta, "eta"))
 
 
-def scattering_gate(eta: complex, exciter: int, partner: int) -> TwoSiteGate:
-    """Collision gate bound to an (exciter, partner) site pair."""
-    return TwoSiteGate((exciter, partner), scattering_matrix(eta))
-
-
 def generation_pairs(n: int) -> list[tuple[int, int]]:
     """Collision pairs fired at generation n >= 1: (k, k + 2**(n-1)).
 
@@ -215,16 +209,22 @@ def cascade_generations(state: DenseState, eta: complex,
     """Yield ``state`` after generations 0, 1, 2, ... of the collision
     schedule, each built from the one before with one collision matrix, for
     as long as the reader asks.  ``offsets`` holds the site index of each
-    register's electron 0; every collision pair fires in each register in
-    ``offsets`` order before the next pair.  A read past the last register
-    raises ValueError from the gate's site check, a read past an earlier one
-    does not, so each reader checks its depth.  Only the latest generation
-    is held here, so a caller that drops each yielded state before asking
-    for the next keeps one generation alive, as a rebuild would.
+    register's electron 0, and a register runs to the next larger offset or
+    the end of ``state``; every collision pair fires in each register in
+    ``offsets`` order before the next pair.  Generation g raises ValueError,
+    before its first gate, when its 2**g electrons exceed the smallest
+    register.  Only the latest generation is held here, so a caller that
+    drops each yielded state before asking for the next keeps one generation
+    alive, as a rebuild would.
     """
     collision = scattering_matrix(eta)
+    starts = sorted(offsets)
+    smallest = min(end - start for start, end in zip(starts, starts[1:] + [state.n_sites]))
     yield state
     for g in itertools.count(1):
+        if g >= smallest.bit_length():  # 2**g > smallest
+            raise ValueError(f"generation {g} touches 2**{g} electrons but the "
+                             f"smallest register only has {smallest}")
         for exciter, partner in generation_pairs(g):
             for offset in offsets:
                 state = apply_two_site_gate(

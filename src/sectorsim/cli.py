@@ -193,7 +193,7 @@ def _run_measurement_sweep(cfg: ExperimentConfig) -> list[dict]:
         row = {
             "n": rec.n,
             "M": rec.m_electrons,
-            "overlap_abs": abs(rec.overlap_h * rec.overlap_v),
+            "overlap_abs": abs(rec.overlap * rec.overlap),
             "expectation_direct": direct,
             "expectation_formula": rec.expectation_formula,
             "limit": rec.limit,

@@ -162,16 +162,17 @@ class MeasurementRecord:
     ``expectation_direct`` is the dense sandwich <Psi_n| P |Psi_n>
     (None when the dense engine was not run); ``expectation_formula`` is
     the closed form |delta|^2 (|h|^2 - |v|^2) (1 - |x_H x_V|^2) with the
-    selected reference overlaps; ``limit`` is the n -> infinity value.
-    The two expectations coincide only under the ground reference.
+    selected reference overlap; ``limit`` is the n -> infinity value.
+    Both registers cascade with the same eta to the same depth, so they
+    share one ``overlap``, x_H = x_V.  The two expectations coincide only
+    under the ground reference.
     """
 
     n: int
     m_electrons: int
     expectation_direct: float | None
     expectation_formula: float
-    overlap_h: complex
-    overlap_v: complex
+    overlap: complex
     limit: float
 
 
@@ -244,8 +245,7 @@ def _record(setup: MeasurementSetup, n: int, overlap: complex,
         m_electrons=1 << n,
         expectation_direct=direct,
         expectation_formula=float(formula),
-        overlap_h=complex(overlap),
-        overlap_v=complex(overlap),
+        overlap=complex(overlap),
         limit=float(contrast),
     )
 
@@ -307,7 +307,6 @@ def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     cascade state is orthogonal to the all-ground register, so all three
     cross families vanish identically.
     """
-    n = _check_generation(setup.registers[0], n)
     pol = setup.pol
     delta = setup.delta
     keep = _survival(delta)

@@ -36,12 +36,10 @@ from .hilbert import check_guard, kron_sites
 __all__ = [
     "ElementaryFamily",
     "ProductState",
-    "SectorAction",
     "commutator_norm",
     "dense_action",
     "dense_product_state",
     "dense_sector_operator",
-    "modified_fraction",
     "modified_sites",
     "sector_apply",
     "sector_expectation",
@@ -111,13 +109,6 @@ class ProductState:
         return tuple(v.size for v in self.psi)
 
 
-@dataclass(frozen=True)
-class SectorAction:
-    """Result of applying a sector parameter: sum of weighted product states."""
-
-    terms: tuple[tuple[complex, ProductState], ...]
-
-
 def modified_sites(family: ElementaryFamily, state: ProductState) -> tuple[int, ...]:
     """Indices where the state's site vector differs from the family's."""
     if family.dims != state.dims:
@@ -131,11 +122,6 @@ def modified_sites(family: ElementaryFamily, state: ProductState) -> tuple[int, 
     )
 
 
-def modified_fraction(family: ElementaryFamily, state: ProductState) -> float:
-    """M/N, the fraction of sites carrying a modification."""
-    return len(modified_sites(family, state)) / family.n_sites
-
-
 def sector_expectation(family: ElementaryFamily, state: ProductState) -> float:
     """<Psi| X |Psi> = 1 + (1/N) sum over modified sites of (|<phi|psi>|^2 - 1)."""
     n = family.n_sites
@@ -146,12 +132,13 @@ def sector_expectation(family: ElementaryFamily, state: ProductState) -> float:
     return float(total)
 
 
-def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
+def sector_apply(family: ElementaryFamily,
+                 state: ProductState) -> tuple[tuple[complex, ProductState], ...]:
     """Exact action of the sector parameter on a product state.
 
-    Returns the passthrough term (1 - M/N) |Psi> followed by one
-    single-site replacement term per modified site; terms whose
-    coefficient vanishes are dropped.
+    Returns (coefficient, product state) pairs: the passthrough term
+    (1 - M/N) |Psi> followed by one single-site replacement term per
+    modified site; terms whose coefficient vanishes are dropped.
     """
     n = family.n_sites
     modified = modified_sites(family, state)
@@ -166,7 +153,7 @@ def sector_apply(family: ElementaryFamily, state: ProductState) -> SectorAction:
         replaced = list(state.psi)
         replaced[alpha] = family.phi[alpha]
         terms.append((complex(coef), ProductState(tuple(replaced))))
-    return SectorAction(terms=tuple(terms))
+    return tuple(terms)
 
 
 def dense_product_state(vectors) -> np.ndarray:
@@ -178,12 +165,13 @@ def dense_product_state(vectors) -> np.ndarray:
     return kron_sites(vecs, f"product state over {len(vecs)} sites")
 
 
-def dense_action(action: SectorAction) -> np.ndarray:
-    """Densify a sector action by expanding and summing its terms."""
-    if not action.terms:
+def dense_action(terms: tuple[tuple[complex, ProductState], ...]) -> np.ndarray:
+    """Densify a sector action, the (coefficient, product state) pairs of
+    :func:`sector_apply`, by expanding and summing its terms."""
+    if not terms:
         raise ValueError("cannot densify an empty action without site dimensions")
     total = 0
-    for coef, state in action.terms:
+    for coef, state in terms:
         total += coef * dense_product_state(state.psi)
     return total
 

@@ -131,7 +131,7 @@ def test_criterion_3_sector_algebra():
             vec = dense_product_state(state.psi)
             # exact action vs dense operator
             action = sector_apply(family, state)
-            applied = (dense_action(action) if action.terms
+            applied = (dense_action(action) if action
                        else np.zeros_like(vec))
             assert np.max(np.abs(applied - op @ vec)) <= 1e-12
             # expectation law vs dense sandwich

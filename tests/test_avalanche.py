@@ -20,7 +20,6 @@ from sectorsim.avalanche import (
     generation_pairs,
     overlap_ground,
     overlap_no_avalanche,
-    scattering_gate,
     scattering_matrix,
     structured_amplitude,
     structured_avalanche,
@@ -63,10 +62,6 @@ class TestScatteringGate:
     def test_modulus_above_one_rejected(self):
         with pytest.raises(ValueError):
             scattering_matrix(1.0 + 1e-6)
-
-    def test_gate_binds_site_pair(self):
-        gate = scattering_gate(0.3, 2, 5)
-        assert gate.sites == (2, 5)
 
 
 class TestGenerationPairs:

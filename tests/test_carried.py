@@ -24,14 +24,15 @@ from sectorsim.avalanche import (
     generation_pairs,
     overlap_ground,
     overlap_no_avalanche,
-    scattering_gate,
+    scattering_matrix,
     seeded_register,
 )
-from sectorsim.hilbert import apply_two_site_gate
+from sectorsim.hilbert import TwoSiteGate, apply_two_site_gate
 from sectorsim.measurement import (
     MeasurementSetup,
     PhotonPolarisation,
     _pointer_expectation,
+    density_terms,
     evolve,
     initial_state,
     photoexcite,
@@ -45,8 +46,8 @@ def rebuilt(state, eta, n, offsets):
     for g in range(1, n + 1):
         for exciter, partner in generation_pairs(g):
             for offset in offsets:
-                state = apply_two_site_gate(
-                    state, scattering_gate(eta, offset + exciter, offset + partner))
+                state = apply_two_site_gate(state, TwoSiteGate(
+                    (offset + exciter, offset + partner), scattering_matrix(eta)))
     return state
 
 
@@ -213,6 +214,37 @@ def test_each_reader_takes_exactly_generation_n(n):
         (4 * cascade, n)
 
 
+@pytest.mark.parametrize("sizes", [(2, 8), (8, 2), (3,)])
+def test_cascade_refuses_a_generation_past_its_smallest_register(sizes):
+    # generation 2 touches 4 electrons per register, more than the smallest
+    # holds, so it must be refused before any of its gates: an earlier
+    # register's pairs would land in the next register's sites
+    if len(sizes) == 2:
+        setup = MeasurementSetup(PhotonPolarisation(0.6, 0.8), 0.5, 0.6, *sizes, 1)
+        state, offsets = photoexcite(setup, initial_state(setup)), setup.seed_sites
+    else:
+        state, offsets = seeded_register(*sizes), (0,)
+    generations = cascade_generations(state, 0.6, offsets)
+    assert len(list(itertools.islice(generations, 2))) == 2  # generations 0 and 1 fit
+
+    def read_generation_2():
+        with pytest.raises(ValueError, match="smallest register only has"):
+            next(generations)
+
+    assert calls_made(read_generation_2) == (0, 0)
+
+
+def test_density_terms_refuses_a_generation_past_n_max_before_any_gate():
+    # A = 8 holds generation 3, so only the n_max check can refuse it
+    setup = MeasurementSetup(PhotonPolarisation(0.6, 0.8), 0.5, 0.6, 8, 8, 2)
+
+    def read_past_n_max():
+        with pytest.raises(ValueError, match="exceeds configured n_max"):
+            density_terms(setup, setup.n_max + 1)
+
+    assert calls_made(read_past_n_max) == (0, 0)
+
+
 def folded(eta, n):
     """overlap_no_avalanche as one explicit product over the blocks."""
     result = 1.0 + 0j
@@ -236,7 +268,7 @@ def test_carried_overlaps_keep_the_per_register_bits(a_h, a_v, eta, delta, pol, 
     contrast = abs(setup.delta) ** 2 * (abs(setup.pol.h) ** 2 - abs(setup.pol.v) ** 2)
     for rec in sector_parameter_sweep(setup, reference):
         x_h, x_v = (overlap(params, rec.n) for params in setup.registers)
-        assert bits(rec.overlap_h) == bits(x_h) and bits(rec.overlap_v) == bits(x_v), rec
+        assert bits(rec.overlap) == bits(x_h) == bits(x_v), rec
         want = float(contrast * (1.0 - abs(x_h * x_v) ** 2))
         assert bits(rec.expectation_formula) == bits(want), (rec, want)
         for params in setup.registers:

@@ -35,3 +35,10 @@ def test_helpers_stay_unexported():
     for helper in ("kron_sites", "check_guard"):
         assert helper not in sectorsim.__all__
         assert not hasattr(sectorsim, helper)
+    # facts the package spells once: the collision gate is bound in
+    # cascade_generations, M/N is len(modified_sites) / N, and sector_apply
+    # returns its terms as a plain tuple
+    for removed in ("scattering_gate", "modified_fraction", "SectorAction"):
+        assert removed not in sectorsim.__all__
+        for module in (sectorsim,) + MODULES:
+            assert not hasattr(module, removed), (module.__name__, removed)

@@ -54,7 +54,6 @@ from sectorsim.measurement import (
 from sectorsim.sector import (
     ElementaryFamily,
     ProductState,
-    SectorAction,
     commutator_norm,
     dense_action,
     dense_product_state,
@@ -362,7 +361,7 @@ REFUSALS = {
     "one_level_site": (lambda: ElementaryFamily((np.array([1.0]),)), "dimension >= 2"),
     "matrix_site": (lambda: ElementaryFamily((np.eye(2),)), "dimension >= 2"),
     "family_without_sites": (lambda: ElementaryFamily(()), "at least one site"),
-    "empty_action": (lambda: dense_action(SectorAction(())), "empty action"),
+    "empty_action": (lambda: dense_action(()), "empty action"),
     "families_over_different_sites": (lambda: commutator_norm(_family(2), _family(3)),
                                       "different sites"),
     "commutator_of_one_site": (("sector-commutator", "--set", "N=1"), 2),

@@ -43,6 +43,7 @@ VARIANTS = (
     ("unequal_deep", "measurement_sweep",
      "A_H=4 A_V=6 n_max=2 eta_re=0.3 eta_im=-0.5 delta_re=0.3 delta_im=0.4 "
      "h_re=0.48 h_im=0.64 v_re=0.6 engine=both"),
+    ("v_smaller", "measurement_sweep", "A_H=6 A_V=2 n_max=1 eta_re=0.3 eta_im=-0.5 engine=both"),
     ("no_avalanche_structured", "measurement_sweep", "reference=no_avalanche engine=structured"),
     ("no_avalanche_dense", "measurement_sweep",
      "reference=no_avalanche engine=dense eta_re=0.36 eta_im=0.48"),
