@@ -11,13 +11,16 @@ Conventions used throughout the package:
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
   unitary to within ``UNITARITY_TOL``.
-* Gates are applied out of place and never write their input.  The state
-  is cut along its slowest axis into slabs of about ``_SLAB_AMPS``
-  amplitudes; each slab is copied and then its non-identity rows are
-  rewritten while it is still in cache.  A row sums its products in one
-  contiguous scratch block, at most a quarter of a slab; its strided
-  destination block holds each later product only until the sum replaces
-  it.
+* Gates are applied out of place and never write their input.  The sites
+  other than the pair span a sublattice (above, between, below the pair),
+  which the kernel cuts into tiles of at most ``_SLAB_AMPS // 4`` points,
+  cutting the axis below the pair first, then the one between, then the
+  one above, so a pair anywhere in the state is cut alike.  Each tile is
+  copied from input to output; each input column a non-identity row reads
+  is gathered once into a contiguous buffer; each row sums its products
+  in a buffer and is written to its strided destination once.  The
+  buffers of one tile hold at most ``_SLAB_AMPS`` amplitudes (256 KiB),
+  so a gate's scratch is a constant, whatever the state's size.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -32,6 +35,7 @@ the cap, so however many the factors, it never forms the full product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -54,7 +58,7 @@ __all__ = [
 
 DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
-# amplitudes per slab of the gate kernel: 256 KiB, well inside a per-core L2
+# amplitudes of one gate tile's buffers: 256 KiB, well inside a per-core L2
 _SLAB_AMPS = 1 << 14
 
 
@@ -236,33 +240,52 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
     dims = state.dims
     shape = (math.prod(dims[hi + 1:]), dims[hi], math.prod(dims[lo + 1:hi]),
              dims[lo], math.prod(dims[:lo]))
-    # site i's axis first, then site j's
-    axes = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
-    # rows and columns label pairs k = b_i + d_i*b_j, kept as (b_i, b_j)
+    # the sublattice (above, between, below) first, then site i's axis, then j's
+    axes = (0, 2, 4, 3, 1) if i < j else (0, 2, 4, 1, 3)
+    # rows and columns label pairs k = b_i + d_i*b_j; a non-identity row
+    # keeps each term as (buffer slot of column k, 0-d view of its
+    # coefficient), which multiplies without converting a Python scalar
+    slots: dict[int, int] = {}
     updates = []
     for r, row in enumerate(gate.matrix.tolist()):
-        terms = [(k % di, k // di, c) for k, c in enumerate(row) if c]
-        if terms != [(r % di, r // di, 1)]:
-            updates.append((r % di, r // di, terms))
+        terms = [(k, c) for k, c in enumerate(row) if c]
+        if terms != [(r, 1)]:
+            updates.append((r, [(slots.setdefault(k, len(slots)), gate.matrix[r, k, ...])
+                                for k, _ in terms]))
     out = np.empty_like(state.amps)
     src = state.amps.reshape(shape).transpose(axes)
     dst = out.reshape(shape).transpose(axes)
-    # a slab is `step` indices of the slowest axis, `layer` amplitudes each
-    above, layer = shape[0], math.prod(shape[1:])
-    step = max(1, _SLAB_AMPS // layer)
-    scratch = np.empty((min(step, above), shape[2], shape[4]), dtype=np.complex128)
-    for a in range(0, above, step):
-        b = min(a + step, above)
-        out[a * layer:b * layer] = state.amps[a * layer:b * layer]
-        acc = scratch[:b - a]
-        for ri, rj, ((ki, kj, c), *rest) in updates:
-            target = dst[ri, rj, a:b]
-            np.multiply(src[ki, kj, a:b], c, out=acc)
+    columns = [src[..., k % di, k // di] for k in slots]
+    rows = [(dst[..., r % di, r // di], terms) for r, terms in updates]
+    # a tile fixes the sublattice axes before `cut`, takes `step` indices of
+    # axis `cut` and all of each axis after it; its gathered columns and
+    # the two row buffers hold at most _SLAB_AMPS amplitudes
+    sub = shape[0], shape[2], shape[4]
+    tile = _SLAB_AMPS // max(4, len(slots) + 2)
+    cut = 2 if sub[2] > tile else 1 if sub[1] * sub[2] > tile else 0
+    step = min(tile // math.prod(sub[cut + 1:]), sub[cut])
+    scratch = np.empty((len(slots) + 2, step) + sub[cut + 1:], dtype=np.complex128)
+    full = list(scratch)
+    if cut == 0 and step == sub[0]:
+        # one tile, the whole sublattice: a tiny state builds no per-tile key
+        tiles = ((..., full),)
+    else:
+        last = list(scratch[:, :sub[cut] % step])
+        tiles = ((outer + (slice(s, s + step),), full if s + step <= sub[cut] else last)
+                 for outer in itertools.product(*map(range, sub[:cut]))
+                 for s in range(0, sub[cut], step))
+    for key, (*gathered, acc, tmp) in tiles:
+        dst[key] = src[key]
+        for buf, column in zip(gathered, columns):
+            buf[...] = column[key]
+        for target, ((slot, c), *rest) in rows:
+            np.multiply(gathered[slot], c, out=acc)
             if not rest:
                 # +0 turns the -0 a lone negative coefficient makes of a zero
                 # (a collision at eta = +-1) back into +0, which records print
-                np.add(acc, 0.0, out=target)
-            for t, (ki, kj, c) in enumerate(rest, 1):
-                np.multiply(src[ki, kj, a:b], c, out=target)
-                np.add(acc, target, out=target if t == len(rest) else acc)
+                np.add(acc, 0.0, out=acc)
+            for slot, c in rest:
+                np.multiply(gathered[slot], c, out=tmp)
+                np.add(acc, tmp, out=acc)
+            target[key] = acc
     return DenseState(dims, out)

@@ -1,6 +1,7 @@
 """Dense state plumbing: flat-index convention, products, gates, guard."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -400,3 +401,71 @@ def test_slab_kernel_with_a_partial_last_slab(kind, eta, pair):
     step = max(1, _SLAB_AMPS // math.prod(dims[:max(pair) + 1]))
     assert above // step == 7 and above % step
     _assert_matches_reference(*_gate_case(kind, dims, i, j, eta, sum(pair)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    threes=st.sets(st.integers(0, 15), max_size=2),
+    order=st.data(),
+    eta=st.sampled_from(ETA_GRID + (-1.0,)),
+)
+def test_tiled_kernel_matches_reference_where_tiles_cut_below_the_upper_site(
+        kind, seed, threes, order, eta):
+    # the upper site is the last one, or the lower site is at least 13, so
+    # the sublattice below the upper site outgrows a tile and the tiles cut
+    # the axis between the pair or the one below it; a 3-level site often
+    # makes the last tile partial
+    n = 16
+    i, j = order.draw(st.sampled_from([(a, b) for a in range(n) for b in range(n)
+                                       if a != b and (max(a, b) == n - 1 or min(a, b) >= 13)]),
+                      label="sites")
+    dims = [3 if s in threes else 2 for s in range(n)]
+    if kind == "scattering":
+        dims[i] = dims[j] = 2
+    lo, hi = sorted((i, j))
+    assert math.prod(dims[:hi]) // dims[lo] > _SLAB_AMPS // 4
+    _assert_matches_reference(*_gate_case(kind, tuple(dims), i, j, eta, seed))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("pair", [(13, 14), (14, 13), (12, 13), (1, 14), (14, 2)])
+def test_tiled_kernel_with_a_partial_last_tile(kind, pair):
+    # two 3-level sites: below site 12 or 13 lie 9 * 2**10 or 9 * 2**11
+    # amplitudes, which tiles of _SLAB_AMPS // 4 cut into pieces of the
+    # axis below with a partial last one; with 3 or 9 amplitudes below and
+    # 2**12 or 2**11 indices between, they cut the axis between the pair
+    dims = [3, 3] + [2] * 13
+    i, j = pair
+    if kind == "scattering":
+        dims[i] = dims[j] = 2
+    below = math.prod(dims[:min(pair)])
+    between = math.prod(dims[min(pair) + 1:max(pair)])
+    assert below * between > _SLAB_AMPS // 4
+    assert (below % (_SLAB_AMPS // 4) if below > _SLAB_AMPS // 4
+            else between % (_SLAB_AMPS // 4 // below))
+    _assert_matches_reference(*_gate_case(kind, tuple(dims), i, j, -1.0, sum(pair)))
+
+
+@pytest.mark.parametrize("dims, pair", [
+    ((2,) * 18, (0, 17)),
+    ((3,) + (2,) * 16, (9, 16)),
+    ((3,) + (2,) * 16, (0, 9)),
+])
+def test_gate_scratch_is_bounded_by_a_constant(dims, pair):
+    # beyond its output, one gate holds at most a 256 KiB tile of scratch,
+    # whatever the state's size and wherever the pair sits
+    rng = np.random.default_rng(16)
+    i, j = pair
+    gate_mat = (scattering_matrix(0.6) if dims[i] == dims[j] == 2
+                else haar_unitary(dims[i] * dims[j], rng))
+    state = DenseState(dims, random_state_vector(math.prod(dims), rng))
+    gate = TwoSiteGate(pair, gate_mat)
+    tracemalloc.start()
+    try:
+        out = apply_two_site_gate(state, gate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.amps.nbytes <= 16 * _SLAB_AMPS + 64 * 1024

@@ -55,6 +55,7 @@ VARIANTS = (
      "h_re=0 v_re=1 delta_re=0.2 eta_re=0.1 eta_im=0.2 N=9"),
     ("eta_one_dense", "avalanche_sweep", "eta_re=1.0 engine=dense"),
     ("complex_both", "avalanche_sweep", "eta_re=0.3 eta_im=0.4 engine=both"),
+    ("a17_complex", "avalanche_sweep", "A=17 eta_re=0.3 eta_im=-0.4 engine=both"),
     ("h_minus", "measurement_sweep",
      "h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 engine=dense delta_re=-0.0 delta_im=-1"),
     ("dense_big", "measurement_sweep",
