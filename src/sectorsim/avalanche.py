@@ -43,9 +43,11 @@ where, inside Z_l, Z_0 is the subtree's root and Z_1 .. Z_{l-1} are the
 subtrees of its partners, latest first.  This gives the cascade/no-cascade
 overlap in closed form,
 |<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).  Every block is
-an arithmetic progression of electron indices, so the partition is stored
+an arithmetic progression of electron indices, so the partition is read
 as ranges and costs O(n), as do the overlaps; an amplitude reads all 2**n
-touched labels and costs O(2**n).
+touched labels and costs O(2**n).  A structured state is its parameters
+plus its depth.  The engines share validated inputs and never a formula:
+only the structured routes call ``_survival``.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ def _check_generation(params: AvalancheParams, n: int) -> int:
 def _rotation(dim: int, src: int, dst: int, amp: complex) -> np.ndarray:
     """``dim`` x ``dim`` identity except for the rotation of |src>, |dst>:
     |src> -> s|src> + amp|dst> and |dst> -> s|dst> - conj(amp)|src>, with
-    s = sqrt(1 - |amp|^2)."""
-    s = _survival(amp)
+    s = sqrt(1 - |amp|^2), computed here: the dense gates borrow no structured formula."""
+    s = math.sqrt(max(0.0, 1.0 - abs(amp) ** 2))
     mat = np.eye(dim, dtype=np.complex128)
     mat[src, src] = mat[dst, dst] = s
     mat[dst, src] = amp
@@ -256,25 +258,24 @@ class ZBlockPartition:
 
 @dataclass(frozen=True)
 class StructuredAvalancheState:
-    """Factorised cascade state: parameters plus its block partition."""
+    """Factorised cascade state: parameters plus depth; ``partition`` derives its blocks in O(n)."""
 
     params: AvalancheParams
     generation: int
-    partition: ZBlockPartition
+
+    @property
+    def partition(self) -> ZBlockPartition:
+        """Level l >= 1 holds the electrons with exactly n - l trailing zero bits."""
+        size = 1 << self.generation
+        levels = (range(1),) + tuple(
+            range(size >> l, size, size >> (l - 1)) for l in range(1, self.generation + 1)
+        )
+        return ZBlockPartition(levels=levels, remainder=range(size, self.params.n_dopants))
 
 
 def structured_avalanche(params: AvalancheParams, n: int) -> StructuredAvalancheState:
-    """Factorised representation of the cascade after n generations.
-
-    Level l >= 1 holds the electrons with exactly n - l trailing zero bits.
-    """
-    n = _check_generation(params, n)
-    size = 1 << n
-    levels = (range(1),) + tuple(
-        range(size >> l, size, size >> (l - 1)) for l in range(1, n + 1)
-    )
-    partition = ZBlockPartition(levels=levels, remainder=range(size, params.n_dopants))
-    return StructuredAvalancheState(params=params, generation=n, partition=partition)
+    """Factorised representation of the cascade after n generations, in O(1)."""
+    return StructuredAvalancheState(params=params, generation=_check_generation(params, n))
 
 
 def structured_amplitude(state: StructuredAvalancheState, labels):

@@ -90,7 +90,6 @@ class ExperimentConfig:
     U: float = 2.0
     Delta: float = 0.5
     a: float = 1e-06
-    output_path: str = ""
 
     @property
     def eta(self) -> complex:
@@ -115,6 +114,14 @@ _KEY_TYPES = {
 }
 
 
+def _split_pair(text: str, where: str, shown: str) -> tuple[str, str]:
+    """Stripped key and value of ``key = value``; no '=' raises ConfigError at ``where``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {shown!r}")
+    return key.strip(), value.strip()
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
     pairs: dict[str, str] = {}
@@ -122,12 +129,9 @@ def parse_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
-                pairs[key.strip()] = value.strip()
+                if line:
+                    key, value = _split_pair(line, f"{path}:{lineno}", raw.rstrip())
+                    pairs[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return pairs
@@ -392,7 +396,7 @@ def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def emit(records: list[dict], fmt: str, path: str, cfg: ExperimentConfig) -> None:
+def emit(records: list[dict], fmt: str, path: str | None, cfg: ExperimentConfig) -> None:
     """Serialise records deterministically as csv or json (floats at 17 significant digits)."""
     text = _render_csv(records) if fmt == "csv" else _render_json(records, cfg)
     if not path or path == "-":
@@ -425,11 +429,7 @@ def main(argv=None) -> int:
         pairs: dict[str, str] = {}
         if args.config:
             pairs.update(parse_config_file(args.config))
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            pairs[key.strip()] = value.strip()
+        pairs.update(_split_pair(item, "--set", item) for item in args.set)
         cfg = build_config(args.kind, pairs)
         records, disagreement = run_experiment(cfg)
     except DimensionLimitError as exc:
@@ -438,9 +438,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_path = args.out if args.out is not None else cfg.output_path
     try:
-        emit(records, args.format, out_path, cfg)
+        emit(records, args.format, args.out, cfg)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 5

@@ -13,13 +13,13 @@ Conventions used throughout the package:
   unitary to within ``UNITARITY_TOL``.
 * Gates are applied out of place and never write their input.  The sites
   other than the pair span a sublattice (above, between, below the pair),
-  which the kernel cuts into tiles of at most ``_SLAB_AMPS // 4`` points,
+  which the kernel cuts into tiles of at most ``_TILE_AMPS // 4`` points,
   cutting the axis below the pair first, then the one between, then the
   one above, so a pair anywhere in the state is cut alike.  Each tile is
   copied from input to output; each input column a non-identity row reads
   is gathered once into a contiguous buffer; each row sums its products
   in a buffer and is written to its strided destination once.  The
-  buffers of one tile hold at most ``_SLAB_AMPS`` amplitudes (256 KiB),
+  buffers of one tile hold at most ``_TILE_AMPS`` amplitudes (256 KiB),
   so a gate's scratch is a constant, whatever the state's size.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
@@ -59,7 +59,7 @@ __all__ = [
 DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
 # amplitudes of one gate tile's buffers: 256 KiB, well inside a per-core L2
-_SLAB_AMPS = 1 << 14
+_TILE_AMPS = 1 << 14
 
 
 class DimensionLimitError(ValueError):
@@ -259,9 +259,9 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
     rows = [(dst[..., r % di, r // di], terms) for r, terms in updates]
     # a tile fixes the sublattice axes before `cut`, takes `step` indices of
     # axis `cut` and all of each axis after it; its gathered columns and
-    # the two row buffers hold at most _SLAB_AMPS amplitudes
+    # the two row buffers hold at most _TILE_AMPS amplitudes
     sub = shape[0], shape[2], shape[4]
-    tile = _SLAB_AMPS // max(4, len(slots) + 2)
+    tile = _TILE_AMPS // max(4, len(slots) + 2)
     cut = 2 if sub[2] > tile else 1 if sub[1] * sub[2] > tile else 0
     step = min(tile // math.prod(sub[cut + 1:]), sub[cut])
     scratch = np.empty((len(slots) + 2, step) + sub[cut + 1:], dtype=np.complex128)

@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import ETA_GRID, UNIT_DISC, UNIT_PHASE
 from sectorsim.avalanche import (
     AvalancheParams,
+    StructuredAvalancheState,
     block_ground_overlap,
     dense_avalanche,
     dense_ground_overlap,
@@ -189,6 +191,35 @@ class TestZBlockPartition:
         assert min(timings) < 1e-3, f"n = 60 partition took {min(timings):.2e} s"
         assert sum(map(len, part.levels)) == 1 << 60
         assert part.levels[60] == range(1, 1 << 60, 2)
+
+    def test_partition_is_derived_from_the_depth(self):
+        # a state is its parameters plus its depth, so it takes no partition,
+        # and the one it reads always has that depth
+        params = AvalancheParams(8, 0.6, 3)
+        other_depth = structured_avalanche(params, 2).partition
+        with pytest.raises(TypeError):
+            StructuredAvalancheState(params, 3, other_depth)
+        with pytest.raises(TypeError):
+            StructuredAvalancheState(params=params, generation=3, partition=other_depth)
+        assert [f.name for f in fields(StructuredAvalancheState)] == ["params", "generation"]
+        # the partition is built on read, and a read at n = 20 stays O(n)
+        deep = structured_avalanche(AvalancheParams(1 << 20, 0.6, 20), 20)
+        tracemalloc.start()
+        try:
+            assert len(deep.partition.levels) == 21
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"n = 20 partition read peaked at {peak} bytes"
+        for n_dopants in (1, 5, 8, (1 << 20) + 3):
+            params = AvalancheParams(n_dopants, 0.6, n_dopants.bit_length() - 1)
+            for n in range(params.n_max + 1):
+                part = structured_avalanche(params, n).partition
+                assert len(part.levels) == n + 1
+                members = np.concatenate([np.arange(r.start, r.stop, r.step)
+                                          for r in part.levels])
+                assert np.array_equal(np.sort(members), np.arange(1 << n))
+                assert part.remainder == range(1 << n, n_dopants)
 
 
 def broadcast_ones_fold(params, n, batch):

@@ -15,7 +15,7 @@ from typing import get_type_hints
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sectorsim import cli
@@ -327,14 +327,6 @@ class TestRendering:
             assert code == 0
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    def test_output_path_from_config_file(self, tmp_path, capsys):
-        out_file = tmp_path / "sweep.csv"
-        cfg_path = write_config(tmp_path, f"output_path = {out_file}\n")
-        code, out, _ = run_cli(capsys, "avalanche-sweep", "--config", cfg_path)
-        assert code == 0
-        assert out == ""
-        assert out_file.read_text().startswith("n,M,overlap_re")
-
 
 class TestPrecedence:
     def test_set_overrides_config_file(self, tmp_path, capsys):
@@ -514,6 +506,56 @@ def test_any_set_value_gives_a_documented_exit_code(kind, pairs):
             except ValueError:
                 continue  # a label such as "ok" or "H"
             assert math.isfinite(number) or column in no_dense, (column, cell)
+
+
+def _config_built_by(argv):
+    """Exit code of ``main(argv)`` and the repr of the config it built,
+    None if it built none; no runner runs."""
+    built = []
+
+    def record(cfg):
+        built.append(repr(cfg))
+        return [{"status": "ok"}], 0.0
+
+    with (mock.patch.object(cli, "run_experiment", record),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):
+        code = main(argv)
+    return code, built[0] if built else None
+
+
+# text that a config line carries unchanged: no line break, no comment mark
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\r\n#"), max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(cli.KINDS),
+       key=st.one_of(st.sampled_from(sorted(cli._KEY_TYPES)), LINE_TEXT),
+       value=st.one_of(SET_VALUES.filter(lambda v: not set(v) & set("\r\n#")), LINE_TEXT),
+       pad=st.sampled_from(["", " ", "  ", "\t"]))
+@example(kind="avalanche-sweep", key="eta_re", value="-0.0", pad=" ")
+@example(kind="scales", key="engine", value="a=b", pad="")
+@example(kind="measurement-sweep", key="reference", value="no_avalanche", pad="\t")
+def test_config_line_and_set_flag_build_the_same_config(tmp_path, kind, key, value, pad):
+    # one key = value grammar: the same text as a config-file line and as a
+    # --set flag builds the same config, or fails as configuration on both
+    text = f"{key}{pad}={pad}{value}"
+    from_file = _config_built_by([kind, "--config", write_config(tmp_path, text + "\n")])
+    from_flag = _config_built_by([kind, "--set", text])
+    assert from_file == from_flag
+    assert from_file[0] in (0, 2)
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_missing_equals_names_where_and_what(tmp_path, capsys, source):
+    argv = (["--config", write_config(tmp_path, "\neta_re 0.6  # amplitude\n")]
+            if source == "file" else ["--set", "eta_re 0.6"])
+    code, out, err = run_cli(capsys, "avalanche-sweep", *argv)
+    where = f"{tmp_path / 'run.cfg'}:2" if source == "file" else "--set"
+    shown = "eta_re 0.6  # amplitude" if source == "file" else "eta_re 0.6"
+    assert code == 2 and out == ""
+    assert f"{where}: expected 'key = value', got {shown!r}" in err
 
 
 @st.composite

@@ -1,6 +1,8 @@
-"""The record tool reads the declared record changes from commit trailers."""
+"""The record tool reads the declared record changes from commit trailers,
+and marks a JSON file whose records did not move."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -37,3 +39,26 @@ def test_names_are_not_passed_on_the_command_line():
     with pytest.raises(SystemExit) as exc:
         compare_records.main(["HEAD", "--expect", "scales.csv"])
     assert exc.value.code == 2
+
+
+def test_config_only_marks_json_files_whose_records_agree(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+
+    def write(side, name, config, records):
+        (side / name).write_text(json.dumps({"config": config, "records": records}, indent=2))
+
+    records = [{"n": 0, "overlap_re": 1.0}, {"n": 1, "overlap_re": 0.8}]
+    write(base, "config.json", {"A": 8, "output_path": ""}, records)
+    write(head, "config.json", {"A": 8}, records)
+    write(base, "records.json", {"A": 8}, records)
+    write(head, "records.json", {"A": 8}, [records[0], {"n": 1, "overlap_re": 0.6}])
+    write(base, "zero.json", {"A": 8}, [{"n": 0, "overlap_re": 0.0}])
+    write(head, "zero.json", {"A": 9}, [{"n": 0, "overlap_re": -0.0}])
+    (base / "rows.csv").write_text("n,overlap_re\n0,1\n")
+    (head / "rows.csv").write_text("n,overlap_re\n0,-1\n")
+    changed = compare_records.differing(base, head)
+    assert changed == ["config.json", "records.json", "rows.csv", "zero.json"]
+    assert [name for name in changed
+            if compare_records.config_only(base / name, head / name)] == ["config.json"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import ETA_GRID, embedded_gate_matrix, haar_unitary, random_state_vector
 from sectorsim.avalanche import scattering_matrix
 from sectorsim.hilbert import (
-    _SLAB_AMPS,
+    _TILE_AMPS,
     DenseState,
     DimensionLimitError,
     TwoSiteGate,
@@ -378,9 +378,9 @@ KINDS = ["permutation", "phases", "scattering", "kron"]
     order=st.data(),
     eta=st.sampled_from(ETA_GRID + (-1.0,)),
 )
-def test_slab_kernel_matches_copy_and_strided_kernel(kind, seed, sites, extra, order, eta):
-    # the shortest prefix that outgrows one slab, and maybe one site more
-    n = next(m for m in range(1, len(sites) + 1) if math.prod(sites[:m]) > _SLAB_AMPS)
+def test_tiled_kernel_matches_copy_and_strided_kernel(kind, seed, sites, extra, order, eta):
+    # the shortest prefix that outgrows one tile's buffers, and maybe one site more
+    n = next(m for m in range(1, len(sites) + 1) if math.prod(sites[:m]) > _TILE_AMPS)
     dims = sites[:n + extra]
     i, j = order.draw(st.sampled_from([(a, b) for a in range(len(dims))
                                        for b in range(len(dims)) if a != b]), label="sites")
@@ -392,13 +392,15 @@ def test_slab_kernel_matches_copy_and_strided_kernel(kind, seed, sites, extra, o
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("eta", [1.0, -1.0])
 @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (2, 3), (3, 0), (0, 3), (8, 0), (1, 8)])
-def test_slab_kernel_with_a_partial_last_slab(kind, eta, pair):
-    # layers of 16 (512) amplitudes make slabs of 1024 (32) of the 7776
-    # (243) indices of the slowest axis: eight slabs, the last one partial
+def test_tiled_kernel_with_a_partial_last_tile_above_the_pair(kind, eta, pair):
+    # with the upper site at 3 (8), the sites up to it span 16 (512)
+    # amplitudes, so a gate that reads two columns takes tiles of `step` =
+    # 1024 (32) of the 7776 (243) indices of the axis above the pair: eight
+    # tiles, the last one partial
     dims = (2,) * 9 + (3,) * 5
     i, j = pair
     above = math.prod(dims[max(pair) + 1:])
-    step = max(1, _SLAB_AMPS // math.prod(dims[:max(pair) + 1]))
+    step = max(1, _TILE_AMPS // math.prod(dims[:max(pair) + 1]))
     assert above // step == 7 and above % step
     _assert_matches_reference(*_gate_case(kind, dims, i, j, eta, sum(pair)))
 
@@ -425,7 +427,7 @@ def test_tiled_kernel_matches_reference_where_tiles_cut_below_the_upper_site(
     if kind == "scattering":
         dims[i] = dims[j] = 2
     lo, hi = sorted((i, j))
-    assert math.prod(dims[:hi]) // dims[lo] > _SLAB_AMPS // 4
+    assert math.prod(dims[:hi]) // dims[lo] > _TILE_AMPS // 4
     _assert_matches_reference(*_gate_case(kind, tuple(dims), i, j, eta, seed))
 
 
@@ -433,7 +435,7 @@ def test_tiled_kernel_matches_reference_where_tiles_cut_below_the_upper_site(
 @pytest.mark.parametrize("pair", [(13, 14), (14, 13), (12, 13), (1, 14), (14, 2)])
 def test_tiled_kernel_with_a_partial_last_tile(kind, pair):
     # two 3-level sites: below site 12 or 13 lie 9 * 2**10 or 9 * 2**11
-    # amplitudes, which tiles of _SLAB_AMPS // 4 cut into pieces of the
+    # amplitudes, which tiles of _TILE_AMPS // 4 cut into pieces of the
     # axis below with a partial last one; with 3 or 9 amplitudes below and
     # 2**12 or 2**11 indices between, they cut the axis between the pair
     dims = [3, 3] + [2] * 13
@@ -442,9 +444,9 @@ def test_tiled_kernel_with_a_partial_last_tile(kind, pair):
         dims[i] = dims[j] = 2
     below = math.prod(dims[:min(pair)])
     between = math.prod(dims[min(pair) + 1:max(pair)])
-    assert below * between > _SLAB_AMPS // 4
-    assert (below % (_SLAB_AMPS // 4) if below > _SLAB_AMPS // 4
-            else between % (_SLAB_AMPS // 4 // below))
+    assert below * between > _TILE_AMPS // 4
+    assert (below % (_TILE_AMPS // 4) if below > _TILE_AMPS // 4
+            else between % (_TILE_AMPS // 4 // below))
     _assert_matches_reference(*_gate_case(kind, tuple(dims), i, j, -1.0, sum(pair)))
 
 
@@ -468,4 +470,4 @@ def test_gate_scratch_is_bounded_by_a_constant(dims, pair):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.amps.nbytes <= 16 * _SLAB_AMPS + 64 * 1024
+    assert peak - out.amps.nbytes <= 16 * _TILE_AMPS + 64 * 1024

@@ -5,7 +5,9 @@ so no caller keeps the intact function, and the oracle must then report
 ``cascade_engines`` as failed and exit 4.  The grid must see phases and
 the V register's size: a conjugated or swapped edge table fails
 ``cascade_engines``, a V seed counted from the wrong register fails
-``measurement_pointer``.  The dense commutator must fail closed the same
+``measurement_pointer``.  The engines share no formula: negating the
+survival amplitude sqrt(1 - |eta|^2) of either one alone fails
+``cascade_engines``.  The dense commutator must fail closed the same
 way: a sector product that turns NaN, or a Lanczos step cap too low to
 converge, makes ``sector-commutator engine=both`` and ``oracle-check``
 exit 4.
@@ -95,6 +97,39 @@ def test_oracle_grid_sees_phases_and_register_sizes(name, monkeypatch):
     code, rows, err = _run("oracle-check")
     assert code == 4, err
     assert {r["check"] for r in rows if r["status"] == "fail"} == {failing}
+
+
+def negated_survival():
+    """The structured engine's survival amplitude, negated."""
+    survival = avalanche._survival
+    return [(avalanche, "_survival", lambda eta: -survival(eta))]
+
+
+def negated_rotation():
+    """The dense gates' own survival amplitude, negated in every gate."""
+    rotation = edited(avalanche._rotation, "s = math.sqrt(", "s = -math.sqrt(")
+    return [(avalanche, "_rotation", rotation), (measurement, "_rotation", rotation)]
+
+
+# each negates sqrt(1 - |eta|^2) in one engine only; built per test, so a
+# source edit that no longer applies fails its own case alone
+ENGINE_LINE_PLANTS = {
+    "structured_survival_negated": negated_survival,
+    "dense_rotation_survival_negated": negated_rotation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_LINE_PLANTS))
+def test_engines_share_no_survival_formula(name, monkeypatch):
+    for owner, attr, value in ENGINE_LINE_PLANTS[name]():
+        monkeypatch.setattr(owner, attr, value)
+    code, rows, err = _run("oracle-check")
+    assert code == 4, err
+    assert {r["check"] for r in rows if r["status"] == "fail"} == {"cascade_engines"}
+    code, _, err = _run("avalanche-sweep", "--set", "engine=both", "--set", "A=8",
+                        "--set", "n_max=3")
+    assert code == 4, err
+    assert "engine disagreement" in err
 
 
 def nan_product(family, vec):

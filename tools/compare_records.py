@@ -11,9 +11,11 @@ working tree's configs for both.  The base sources are extracted with
 metadata is never touched.
 
 The script prints every output file whose bytes differ between the two
-sides.  It exits 1 if a file differs that no ``Records-changed:`` trailer
-in ``BASE_REV..HEAD`` declares, if a declared file does not differ, or if
-any run in either tree exits nonzero, and 0 otherwise.
+sides, and marks ``(config only)`` a JSON file whose ``records`` are the
+same on both sides.  It exits 1 if a file differs that no
+``Records-changed:`` trailer in ``BASE_REV..HEAD`` declares, if a declared
+file does not differ, or if any run in either tree exits nonzero, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -114,6 +116,16 @@ def differing(base: Path, head: Path) -> list[str]:
                     and (base / name).read_bytes() == (head / name).read_bytes())]
 
 
+def config_only(base: Path, head: Path) -> bool:
+    """Whether two JSON record files both exist and hold the same ``records``,
+    so only their echoed config differs; signed zeros count as different."""
+    if base.suffix != ".json" or not (base.is_file() and head.is_file()):
+        return False
+    base_records, head_records = (json.dumps(json.loads(path.read_text(encoding="utf-8"))["records"])
+                                  for path in (base, head))
+    return base_records == head_records
+
+
 def declared(base_rev: str, repo: Path = ROOT) -> set[str]:
     """Names in the space-separated ``Records-changed:`` trailers of ``base_rev..HEAD``."""
     return set(subprocess.run(["git", "log", "--format=%(trailers:key=Records-changed,valueonly)",
@@ -135,10 +147,13 @@ def main(argv=None) -> int:
         codes = {side: run_tree(src, outputs / side, runs)
                  for side, src in (("base", Path(tmp) / "src"), ("head", ROOT / "src"))}
         changed = differing(outputs / "base", outputs / "head")
+        same_records = {name for name in changed
+                        if config_only(outputs / "base" / name, outputs / "head" / name)}
     failed = [f"{side}: {name} exited {code}" for side, by_name in codes.items()
               for name, code in by_name.items() if code != 0]
     for name in changed:
-        print(f"differs: {name}" + (" (declared)" if name in expect else ""))
+        print(f"differs: {name}" + (" (declared)" if name in expect else "")
+              + (" (config only)" if name in same_records else ""))
     for line in failed:
         print(f"nonzero exit in {line}")
     unexpected = [name for name in changed if name not in expect]
