@@ -86,3 +86,24 @@ for flat, _ in support[:4]:
     bits = tuple((flat >> s) & 1 for s in range(8))
     direct = structured_amplitude(structured, bits)
     print(f"labels {bits}: structured {direct:.6f}  dense {state.amps[flat]:.6f}")
+
+# %%
+# Deep amplitudes
+# ---------------
+# The structured fold scans the labels once and multiplies only along the
+# subtrees that hold an excited electron, so one configuration of a
+# 2^20-electron register costs no dense vector.  With
+# s = sqrt(1 - |eta|^2), the seed alone has amplitude s^n, and the seed
+# with its last partner, electron 2^(n-1), has eta * s^(n-1).
+
+n = 20
+deep = structured_avalanche(AvalancheParams(n_dopants=1 << n, eta=eta, n_max=n), n)
+s = np.sqrt(1.0 - abs(eta) ** 2)
+seed_only = np.eye(1, 1 << n, dtype=np.uint8)[0]
+with_partner = seed_only.copy()
+with_partner[1 << (n - 1)] = 1
+print(f"\nn = {n}:")
+for name, bits, closed in (("seed only", seed_only, s ** n),
+                           (f"seed + electron 2^{n - 1}", with_partner, eta * s ** (n - 1))):
+    print(f"  {name:<22} structured {structured_amplitude(deep, bits):.12f}"
+          f"  closed form {closed:.12f}")

@@ -44,10 +44,13 @@ subtrees of its partners, latest first.  This gives the cascade/no-cascade
 overlap in closed form,
 |<seed, all ground | state_n>| = (1 - |eta|^2)**(n/2).  Every block is
 an arithmetic progression of electron indices, so the partition is read
-as ranges and costs O(n), as do the overlaps; an amplitude reads all 2**n
-touched labels and costs O(2**n).  A structured state is its parameters
-plus its depth.  The engines share validated inputs and never a formula:
-only the structured routes call ``_survival``.
+as ranges and costs O(n), as do the overlaps.  An amplitude scans its
+2**n touched labels once, O(2**n) bytes; its complex work and scratch grow
+with the subtrees that hold an excited label, plus the last few dense
+levels, and a row with its seed ground or an electron beyond 2**n excited
+costs no fold at all.  A structured state is its parameters plus its
+depth.  The engines share validated inputs and never a formula: only the
+structured routes call ``_survival``.
 """
 
 from __future__ import annotations
@@ -263,6 +266,9 @@ class StructuredAvalancheState:
     params: AvalancheParams
     generation: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "generation", _check_generation(self.params, self.generation))
+
     @property
     def partition(self) -> ZBlockPartition:
         """Level l >= 1 holds the electrons with exactly n - l trailing zero bits."""
@@ -275,7 +281,55 @@ class StructuredAvalancheState:
 
 def structured_avalanche(params: AvalancheParams, n: int) -> StructuredAvalancheState:
     """Factorised representation of the cascade after n generations, in O(1)."""
-    return StructuredAvalancheState(params=params, generation=_check_generation(params, n))
+    return StructuredAvalancheState(params=params, generation=n)
+
+
+# Levels of at least this many subtrees per row fold by key while few of
+# them hold an excited label; narrower levels run the dense loop, so a fold
+# shallower than log2(_KEYED_WIDTH), like the oracle's, never keys.
+_KEYED_WIDTH = 1 << 8
+# The keys hand over to the dense loop once they pass 1/_KEYED_SHARE of a level.
+_KEYED_SHARE = 4
+
+
+def _keyed_levels(labels: np.ndarray, n: int,
+                  table: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Generations n, n-1, ... of the fold in :func:`structured_amplitude` over
+    the seeded rows ``labels`` (shape ``(B, 2**n)``), visiting only the
+    subtrees that hold an excited label, while they stay sparse.
+
+    A tracked subtree is a sorted flat key ``row * 2**n + electron`` with
+    its product.  Every other subtree is all ground, and its product is the
+    exact 1 + 0j the dense loop computes there; a tracked one takes the
+    dense loop's operands in its order, so it is bit-identical.  Returns the
+    next generation to fold and the products as dense rows of width
+    2**generation.
+    """
+    if labels.shape[1] < _KEYED_WIDTH or _KEYED_SHARE * np.count_nonzero(labels) > labels.size:
+        return n, None
+    one = np.complex128(1.0)
+    flat = np.ascontiguousarray(labels).reshape(-1)
+    keys = np.flatnonzero(flat.view(bool))  # a 1-D bool scan is numpy's fast one
+    products = np.full(len(keys), one)  # a lone electron's subtree: nothing folded in yet
+    g = n
+    while (1 << g) >= _KEYED_WIDTH and _KEYED_SHARE * len(keys) <= len(labels) << g:
+        lo = 1 << (g - 1)
+        partner = keys & lo  # an electron's partner subtree merges into it
+        merged = keys ^ partner
+        keys = np.sort(merged)  # deduplicated by hand: np.unique is far slower here
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        idx = flat.take(keys) << 1
+        idx += flat.take(keys + lo)
+        children = np.full((2, len(keys)), one)  # exciter and partner subtrees
+        children[partner >> (g - 1), keys.searchsorted(merged)] = products
+        edge = table.take(idx)
+        edge *= children[1]
+        products = np.multiply(children[0], edge, out=edge)
+        g -= 1
+    # keys index rows 2**n apart; at width 2**g each row keeps its first 2**g
+    acc = np.full((len(labels), 1 << g), one)
+    acc[keys >> n, keys & ((1 << g) - 1)] = products
+    return g, acc
 
 
 def structured_amplitude(state: StructuredAvalancheState, labels):
@@ -290,6 +344,13 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
     exciter, latest first, so every exciter multiplies in its children in
     the order the Z-block recursion does.  Each edge contributes
     ``[[1, 0], [sqrt(1-|eta|^2), eta]][exciter bit][partner bit]``.
+
+    The labels are scanned once, O(2**n) bytes per row.  A row with its
+    seed ground, or an electron at or beyond 2**n excited, is 0 and costs
+    no fold.  A deep fold multiplies only along the subtrees that hold an
+    excited label, until they fill a quarter of a level, and then densely
+    over the last few levels, so its complex work and scratch grow with the
+    excited subtrees rather than with 2**n.
     """
     params = state.params
     bits = np.asarray(labels)
@@ -301,12 +362,20 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
         raise ValueError("electron labels must be 0 (ground) or 1 (excited)")
     batch = bits.reshape(-1, params.n_dopants).astype(np.uint8, copy=False)
     n = state.generation
+    size = 1 << n
+    amps = np.zeros(len(batch), dtype=np.complex128)
+    seeded = ((batch[:, 0] == 1) & ~batch[:, size:].any(axis=1)).nonzero()[0]
+    if not seeded.size:
+        return 0j if bits.ndim == 1 else amps
+    if seeded.size < len(batch):
+        batch = batch.take(seeded, axis=0)
     table = np.array([1.0, 0.0, _survival(params.eta), params.eta], dtype=np.complex128)
     one = np.complex128(1.0)
     # acc[:, j]: product of the subtrees folded into electron j so far.  A
     # flat left-to-right product would round, and underflow, differently.
-    acc = np.full((len(batch), 1), one)
-    for g in range(n, 0, -1):
+    top, keyed = _keyed_levels(batch[:, :size], n, table)
+    acc = np.full((len(batch), 1), one) if keyed is None else keyed
+    for g in range(top, 0, -1):
         lo = 1 << (g - 1)
         idx = batch[:, :lo] << 1
         idx += batch[:, lo : 2 * lo]
@@ -318,8 +387,7 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
             edge = table.take(idx)
             edge *= acc[:, lo:]
             acc = np.multiply(acc[:, :lo], edge, out=edge)  # electrons [0, lo) remain
-    seeded = (batch[:, 0] == 1) & ~batch[:, 1 << n :].any(axis=1)
-    amps = np.where(seeded, acc[:, 0], 0j)
+    amps[seeded] = acc[:, 0]
     return complex(amps[0]) if bits.ndim == 1 else amps
 
 

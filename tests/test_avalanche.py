@@ -272,6 +272,91 @@ class TestStructuredFoldBits:
             got = np.array([structured_amplitude(state, row)])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    # signed zeros and the unit circle's axes, where an operand order shows
+    KEYED_ETAS = ETA_GRID + (-1.0, 1j, -1j, complex(-0.0, -0.5), complex(-0.0, -0.0))
+
+    @pytest.mark.parametrize("eta", KEYED_ETAS)
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_bit_identical_where_levels_fold_by_key(self, eta, n):
+        # deep sparse rows fold by key before the dense loop; every kind of
+        # row must still match the reference bit for bit, in a batch and alone
+        n_dopants = (1 << n) + n - 8
+        params = AvalancheParams(n_dopants, eta, n)
+        state = structured_avalanche(params, n)
+        rng = np.random.default_rng(n)
+        seed_only = np.eye(1, n_dopants, dtype=np.uint8)[0]
+        reachable = [cascade_row(rng, n, n_dopants, p) for p in (0.05, 0.2, 0.5)]
+        free = []
+        for density in (1e-3, 1e-2, 0.5):
+            row = (rng.random(n_dopants) < density).astype(np.uint8)
+            row[0], row[1 << n :] = 1, 0
+            free.append(row)
+        ground_seed = free[-1].copy()
+        ground_seed[0] = 0
+        beyond = seed_only.copy()
+        beyond[-1] = 1  # electron 2**n - 1 when the register has no remainder
+        batches = [np.array([seed_only] + reachable + free[:2]),
+                   np.array([seed_only, ground_seed] + reachable + free + [beyond]),
+                   np.array([ground_seed, ground_seed.copy()]),
+                   np.zeros((0, n_dopants), dtype=np.uint8)]
+        for batch in batches:
+            want = broadcast_ones_fold(params, n, batch)
+            got = structured_amplitude(state, batch)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for k, row in enumerate(batches[1]):
+            want = broadcast_ones_fold(params, n, batches[1][k : k + 1])
+            got = np.array([structured_amplitude(state, row)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_deep_seed_only_row_peaks_below_three_label_copies(self):
+        # at n = 20 a fold over every touched label holds 2**19 complex
+        # products (8 MiB); following the one excited label needs none
+        n, eta = 20, 0.36 + 0.48j
+        params = AvalancheParams((1 << n) + 3, eta, n)
+        state = structured_avalanche(params, n)
+        row = np.eye(1, params.n_dopants, dtype=np.uint8)[0]
+        want = broadcast_ones_fold(params, n, row[None, :])
+        tracemalloc.start()
+        try:
+            got = structured_amplitude(state, row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * row.nbytes, f"peaked at {peak} bytes for {row.nbytes} label bytes"
+        assert np.array_equal(np.array([got]).view(np.uint64), want.view(np.uint64))
+        closed = (1.0 - abs(eta) ** 2) ** (n / 2)
+        assert abs(got - closed) <= 1e-12 * closed
+
+
+def cascade_row(rng, n, n_dopants, p):
+    """A row the cascade can reach: each partner of an excited electron is
+    excited with probability ``p``, and nothing from 2**n on."""
+    row = np.zeros(n_dopants, dtype=np.uint8)
+    row[0] = 1
+    for g in range(1, n + 1):
+        lo = 1 << (g - 1)
+        row[lo : 2 * lo] = row[:lo] & (rng.random(lo) < p)
+    return row
+
+
+class TestStructuredDepth:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_constructor_refuses_depths_outside_the_register(self, data):
+        n_max = data.draw(st.integers(0, 6), label="n_max")
+        params = AvalancheParams(1 << n_max, 0.6, n_max)
+        depth = data.draw(st.one_of(
+            st.integers(max_value=-1),
+            st.integers(min_value=n_max + 1),
+            st.floats().filter(lambda x: not x.is_integer()),
+        ), label="depth")
+        with pytest.raises(ValueError):
+            StructuredAvalancheState(params, depth)
+
+    def test_constructor_keeps_an_integral_depth_as_int(self):
+        state = StructuredAvalancheState(AvalancheParams(8, 0.6, 3), 2.0)
+        assert state.generation == 2 and type(state.generation) is int
+
 
 class TestStructuredAmplitude:
     @pytest.mark.parametrize("eta", ETA_GRID)
