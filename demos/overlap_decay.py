@@ -6,18 +6,20 @@ The cascade state drifts away from the no-avalanche reference (only the
 seed electron excited) at a fixed geometric rate: one factor of
 sqrt(1 - |eta|^2) per generation.  Against the all-ground register the
 overlap is exactly zero at every depth, because the seed electron never
-de-excites.  The structured engine's closed-form block overlaps make both
-overlaps O(n), so the decay can be followed to macroscopic electron counts.
+de-excites; either engine reads it as the all-ground amplitude.  The
+structured engine's closed-form block overlaps make the no-avalanche
+overlap O(n), so the decay can be followed to macroscopic electron counts.
 """
 
 import time
 
 from sectorsim import (
     AvalancheParams,
-    dense_ground_overlap,
+    dense_avalanche,
     dense_no_avalanche_overlap,
-    overlap_ground,
     overlap_no_avalanche,
+    structured_amplitude,
+    structured_avalanche,
 )
 
 # %%
@@ -32,10 +34,11 @@ for n in range(4):
     print(f"{n}  {1 << n:<3d} {structured.real:<14.10f} {dense.real:<14.10f}"
           f" {0.8 ** n:<.10f}")
 
-print("\nground overlap stays pinned at zero:")
+print("\nground overlap (the all-ground amplitude) stays pinned at zero:")
+all_ground = (0,) * params.n_dopants
 for n in range(4):
-    print(f"  n={n}: structured {overlap_ground(params, n)},"
-          f" dense {dense_ground_overlap(params, n)}")
+    structured = structured_amplitude(structured_avalanche(params, n), all_ground)
+    print(f"  n={n}: structured {structured}, dense {dense_avalanche(params, n).amps[0]}")
 
 # %%
 # Macroscopic depth

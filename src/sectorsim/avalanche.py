@@ -49,8 +49,8 @@ as ranges and costs O(n), as do the overlaps.  An amplitude scans its
 with the subtrees that hold an excited label, plus the last few dense
 levels, and a row with its seed ground or an electron beyond 2**n excited
 costs no fold at all.  A structured state is its parameters plus its
-depth.  The engines share validated inputs and never a formula: only the
-structured routes call ``_survival``.
+depth.  The engines share validated inputs and never a formula: no dense
+gate or dense amplitude calls ``_survival``.
 """
 
 from __future__ import annotations
@@ -81,11 +81,9 @@ __all__ = [
     "ZBlockPartition",
     "block_ground_overlap",
     "dense_avalanche",
-    "dense_ground_overlap",
     "dense_no_avalanche_overlap",
     "generation_pairs",
     "ground_register",
-    "overlap_ground",
     "overlap_no_avalanche",
     "scattering_matrix",
     "seeded_register",
@@ -424,28 +422,12 @@ def overlap_no_avalanche(params: AvalancheParams, n: int) -> complex:
     return next(itertools.islice(_no_avalanche_overlaps(params.eta), n, None))
 
 
-def overlap_ground(params: AvalancheParams, n: int) -> complex:
-    """<all ground | state_n>; exactly 0 because the seed stays excited."""
-    _check_generation(params, n)
-    return 0j
-
-
 def _seed_only_amplitude(state: DenseState) -> complex:
     """Amplitude of the seed excited and every other electron ground."""
     labels = (EXCITED,) + (GROUND,) * (state.n_sites - 1)
     return complex(state.amps[flat_index(state.dims, labels)])
 
 
-def _all_ground_amplitude(state: DenseState) -> complex:
-    """Amplitude of every electron ground."""
-    return complex(state.amps[0])
-
-
 def dense_no_avalanche_overlap(params: AvalancheParams, n: int) -> complex:
     """Dense-engine twin of :func:`overlap_no_avalanche` (oracle route)."""
     return _seed_only_amplitude(dense_avalanche(params, n))
-
-
-def dense_ground_overlap(params: AvalancheParams, n: int) -> complex:
-    """Dense-engine twin of :func:`overlap_ground` (oracle route)."""
-    return _all_ground_amplitude(dense_avalanche(params, n))

@@ -24,11 +24,9 @@ import numpy as np
 
 from .avalanche import (
     AvalancheParams,
-    _all_ground_amplitude,
     _seed_only_amplitude,
     cascade_generations,
     dense_no_avalanche_overlap,
-    overlap_ground,
     overlap_no_avalanche,
     seeded_register,
     structured_amplitude,
@@ -312,11 +310,10 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
 
 def _cascade_errors(params: AvalancheParams, n: int, dense: DenseState,
                     every_config: np.ndarray) -> list[float]:
-    """Generation n's structured amplitudes and overlaps against its dense state."""
+    """Generation n's amplitudes, all-ground included, and no-avalanche overlap vs dense."""
     st = structured_avalanche(params, n)
     return [np.max(np.abs(dense.amps - structured_amplitude(st, every_config))),
-            abs(overlap_no_avalanche(params, n) - _seed_only_amplitude(dense)),
-            abs(overlap_ground(params, n) - _all_ground_amplitude(dense))]
+            abs(overlap_no_avalanche(params, n) - _seed_only_amplitude(dense))]
 
 
 def _worst(errors: list[float]) -> float:

@@ -49,9 +49,8 @@ from .avalanche import (
     _rotation,
     _survival,
     cascade_generations,
-    dense_ground_overlap,
+    dense_avalanche,
     ground_register,
-    overlap_ground,
     seeded_register,
 )
 from .hilbert import (
@@ -61,7 +60,6 @@ from .hilbert import (
     apply_two_site_gate,
     basis_state,
     check_guard,
-    inner_product,
     tensor_product,
 )
 
@@ -281,8 +279,8 @@ def sector_parameter_sweep(
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
     generations = range(setup.n_max + 1)
-    overlaps = ((overlap_ground(setup.registers[0], n) for n in generations)
-                if reference == "ground" else _no_avalanche_overlaps(setup.eta))
+    # the seed never de-excites, so no generation overlaps the all-ground register
+    overlaps = itertools.repeat(0j) if reference == "ground" else _no_avalanche_overlaps(setup.eta)
     directs = itertools.repeat(None)
     if compute_direct:
         joint = cascade_generations(photoexcite(setup, initial_state(setup)), setup.eta,
@@ -310,9 +308,9 @@ def density_terms(setup: MeasurementSetup, n: int) -> dict[str, float]:
     pol = setup.pol
     delta = setup.delta
     keep = _survival(delta)
-    photon_vac = abs(inner_product(_photon_ket(pol), basis_state((3,), (PHOTON_VAC,))))
+    photon_vac = abs(_photon_ket(pol).amps[PHOTON_VAC])
     click = [abs(amp * delta) for amp in (pol.h, pol.v)]
-    ground_cascade = [abs(dense_ground_overlap(params, n)) for params in setup.registers]
+    ground_cascade = [abs(dense_avalanche(params, n).amps[0]) for params in setup.registers]
     cross = [c * keep * photon_vac * g for c, g in zip(click, ground_cascade)]
     return {
         "no_click_diagonal": float(keep ** 2),

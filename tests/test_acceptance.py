@@ -15,9 +15,7 @@ from sectorsim.avalanche import (
     AvalancheParams,
     block_ground_overlap,
     dense_avalanche,
-    dense_ground_overlap,
     dense_no_avalanche_overlap,
-    overlap_ground,
     overlap_no_avalanche,
     scattering_matrix,
     structured_amplitude,
@@ -67,8 +65,9 @@ def test_criterion_1_engine_equivalence():
                 params = AvalancheParams(n_dopants, eta, n)
                 assert abs(overlap_no_avalanche(params, n)
                            - dense_no_avalanche_overlap(params, n)) <= 1e-12
-                assert abs(overlap_ground(params, n)
-                           - dense_ground_overlap(params, n)) <= 1e-12
+                zeros = np.zeros(n_dopants, dtype=np.uint8)
+                assert abs(structured_amplitude(structured_avalanche(params, n), zeros)
+                           - dense_avalanche(params, n).amps[0]) <= 1e-12
     # full amplitude cross-check at the largest register
     params = AvalancheParams(12, 0.6, 3)
     structured = structured_avalanche(params, 3)

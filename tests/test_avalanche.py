@@ -17,10 +17,8 @@ from sectorsim.avalanche import (
     StructuredAvalancheState,
     block_ground_overlap,
     dense_avalanche,
-    dense_ground_overlap,
     dense_no_avalanche_overlap,
     generation_pairs,
-    overlap_ground,
     overlap_no_avalanche,
     scattering_matrix,
     structured_amplitude,
@@ -449,8 +447,9 @@ class TestOverlaps:
     @pytest.mark.parametrize("n", range(0, 4))
     def test_ground_overlap_exactly_zero(self, n):
         params = AvalancheParams(8, 0.6, 3)
-        assert overlap_ground(params, n) == 0.0
-        assert abs(dense_ground_overlap(params, n)) <= 1e-15
+        zeros = np.zeros(8, dtype=np.uint8)
+        assert structured_amplitude(structured_avalanche(params, n), zeros) == 0.0
+        assert abs(dense_avalanche(params, n).amps[0]) <= 1e-15
 
     def test_monotone_decay_in_generation(self):
         params = AvalancheParams(1 << 12, 0.45, 12)

@@ -37,8 +37,10 @@ def test_helpers_stay_unexported():
         assert not hasattr(sectorsim, helper)
     # facts the package spells once: the collision gate is bound in
     # cascade_generations, M/N is len(modified_sites) / N, and sector_apply
-    # returns its terms as a plain tuple
-    for removed in ("scattering_gate", "modified_fraction", "SectorAction"):
+    # returns its terms as a plain tuple; a cascade's all-ground amplitude is
+    # read from either engine like any other configuration's
+    for removed in ("scattering_gate", "modified_fraction", "SectorAction",
+                    "overlap_ground", "dense_ground_overlap"):
         assert removed not in sectorsim.__all__
         for module in (sectorsim,) + MODULES:
             assert not hasattr(module, removed), (module.__name__, removed)

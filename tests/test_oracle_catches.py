@@ -24,6 +24,7 @@ import pytest
 
 from sectorsim import avalanche, cli, measurement, sector
 from sectorsim.avalanche import block_ground_overlap
+from sectorsim.hilbert import DenseState
 
 
 def short_overlap(params, n):
@@ -130,6 +131,24 @@ def test_engines_share_no_survival_formula(name, monkeypatch):
                         "--set", "n_max=3")
     assert code == 4, err
     assert "engine disagreement" in err
+
+
+def leaky_register(n_dopants):
+    """A seeded register that leaves 1e-6 on the all-ground configuration."""
+    amps = np.zeros(1 << n_dopants, dtype=np.complex128)
+    amps[0], amps[1] = 1e-6, math.sqrt(1.0 - 1e-12)
+    return DenseState((2,) * n_dopants, amps)
+
+
+def test_oracle_check_fails_on_all_ground_leakage(monkeypatch):
+    # no check reads the all-ground amplitude on its own: it is row 0 of the
+    # every-configuration comparison, which must catch the leak by itself
+    monkeypatch.setattr(cli, "seeded_register", leaky_register)
+    code, rows, err = _run("oracle-check")
+    assert code == 4, err
+    status = {r["check"]: r for r in rows}
+    assert {check for check, r in status.items() if r["status"] == "fail"} == {"cascade_engines"}
+    assert float(status["cascade_engines"]["max_abs_error"]) == pytest.approx(1e-6)
 
 
 def nan_product(family, vec):
