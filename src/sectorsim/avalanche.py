@@ -356,7 +356,14 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
         raise ValueError(
             f"need {params.n_dopants} electron labels per row, got shape {bits.shape}"
         )
-    if not np.all((bits == 0) | (bits == 1)):
+    if bits.dtype.kind in "biu" and bits.dtype.isnative:
+        # one reduction: viewed as unsigned, a negative label is huge too;
+        # 1-byte labels then need no copy
+        bits = bits.view(f"u{bits.itemsize}")
+        valid = bits.max(initial=0) <= 1
+    else:
+        valid = np.all((bits == 0) | (bits == 1))
+    if not valid:
         raise ValueError("electron labels must be 0 (ground) or 1 (excited)")
     batch = bits.reshape(-1, params.n_dopants).astype(np.uint8, copy=False)
     n = state.generation

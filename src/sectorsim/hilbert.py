@@ -7,10 +7,16 @@ Conventions used throughout the package:
   sum_s b_s * prod_{s'<s} d_{s'}.
 * Amplitudes are complex double precision.
 * Site products, of state vectors or of per-site operators, are built by
-  ``kron_sites``, the one fold that puts site 0 fastest-varying.
+  ``kron_sites``, the one fold that puts site 0 fastest-varying.  It folds
+  with ``np.multiply.outer`` (a matrix factor's axes interleaved with the
+  running product's) in ``np.kron``'s association order, so each entry is
+  the same single product and the result equals ``np.kron``'s bit for bit.
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
-  unitary to within ``UNITARITY_TOL``.
+  unitary to within ``UNITARITY_TOL``.  Each distinct matrix, keyed on its
+  size and bytes, is checked and planned once: the gate built from it and
+  every gate applied with those bytes share one check and one row plan,
+  while a refused matrix is checked again each time it is offered.
 * Gates are applied out of place and never write their input.  The sites
   other than the pair span a sublattice (above, between, below the pair),
   which the kernel cuts into tiles of at most ``_TILE_AMPS // 4`` points,
@@ -100,8 +106,16 @@ def kron_sites(factors, what: str) -> np.ndarray:
     """Kronecker product of one vector or one square matrix per site, site 0
     fastest-varying; ``what`` names the request in a guard refusal."""
     check_guard((f.size for f in factors), f"{what} needs too many entries")
-    # kron's second factor varies fastest, so fold from the last site down
-    return functools.reduce(np.kron, reversed(factors))
+    # kron's second factor varies fastest, so fold from the last site down,
+    # the running product on the left as kron has it; a matrix product is
+    # written with row and column axes already interleaved, as kron does
+    def fold(acc, f):
+        if f.ndim == 1:
+            return np.multiply.outer(acc, f).ravel()
+        return np.multiply(acc[:, None, :, None], f[:, None, :]).reshape(
+            acc.shape[0] * f.shape[0], -1)
+
+    return functools.reduce(fold, reversed(factors))
 
 
 def _integral(value, what: str) -> int:
@@ -180,11 +194,36 @@ class TwoSiteGate:
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate matrix must be square, got shape {mat.shape}")
-        deviation = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if not deviation <= UNITARITY_TOL:
-            raise ValueError(f"gate matrix is not unitary (max deviation {deviation:.3e})")
+        _gate_plan(mat.shape[0], mat.tobytes())  # refuses a non-unitary matrix
         object.__setattr__(self, "sites", (i, j))
         object.__setattr__(self, "matrix", mat)
+
+
+@functools.lru_cache(maxsize=64)
+def _gate_plan(size: int, raw: bytes):
+    """Check the ``size`` x ``size`` complex gate matrix stored in ``raw``
+    for unitarity, then plan its rows: the pair labels of the columns that
+    non-identity rows read, in gather order, and each such row's label with
+    its terms as (gather slot, 0-d coefficient).
+
+    Memoised, so each distinct matrix is checked and planned once; a refusal
+    raises and is not cached.  The coefficients are views of a read-only
+    copy, so a caller that later writes its matrix cannot reach a plan.
+    """
+    mat = np.frombuffer(raw, dtype=np.complex128).reshape(size, size)
+    deviation = np.max(np.abs(mat.conj().T @ mat - np.eye(size)))
+    if not deviation <= UNITARITY_TOL:
+        raise ValueError(f"gate matrix is not unitary (max deviation {deviation:.3e})")
+    # rows and columns label pairs k = b_i + d_i*b_j; a coefficient kept as a
+    # 0-d view multiplies without converting a Python scalar
+    slots: dict[int, int] = {}
+    updates = []
+    for r, row in enumerate(mat.tolist()):
+        terms = [(k, c) for k, c in enumerate(row) if c]
+        if terms != [(r, 1)]:
+            updates.append((r, tuple((slots.setdefault(k, len(slots)), mat[r, k, ...])
+                                     for k, _ in terms)))
+    return tuple(slots), tuple(updates)
 
 
 def flat_index(dims, labels) -> int:
@@ -242,16 +281,9 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
              dims[lo], math.prod(dims[:lo]))
     # the sublattice (above, between, below) first, then site i's axis, then j's
     axes = (0, 2, 4, 3, 1) if i < j else (0, 2, 4, 1, 3)
-    # rows and columns label pairs k = b_i + d_i*b_j; a non-identity row
-    # keeps each term as (buffer slot of column k, 0-d view of its
-    # coefficient), which multiplies without converting a Python scalar
-    slots: dict[int, int] = {}
-    updates = []
-    for r, row in enumerate(gate.matrix.tolist()):
-        terms = [(k, c) for k, c in enumerate(row) if c]
-        if terms != [(r, 1)]:
-            updates.append((r, [(slots.setdefault(k, len(slots)), gate.matrix[r, k, ...])
-                                for k, _ in terms]))
+    # keyed on the matrix's current bytes, so a matrix written since the gate
+    # was built is checked and planned afresh
+    slots, updates = _gate_plan(di * dj, gate.matrix.tobytes())
     out = np.empty_like(state.amps)
     src = state.amps.reshape(shape).transpose(axes)
     dst = out.reshape(shape).transpose(axes)

@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -404,6 +405,42 @@ class TestStructuredAmplitude:
             structured_amplitude(st, [0, 1, 2, 0])
         with pytest.raises(ValueError):
             structured_amplitude(st, [0, 1])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eta=UNIT_DISC, case=label_batches(),
+           dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.bool_, np.float64]),
+           strided=st.booleans(), data=st.data())
+    def test_labels_of_every_dtype(self, eta, case, dtype, strided, data):
+        # integer and bool labels take the one-reduction check, float labels
+        # the elementwise one; each dtype gives the float labels' bits, and
+        # each label it can hold that is not 0 or 1 is refused without a warning
+        n_dopants, n, batch = case
+        state = structured_avalanche(AvalancheParams(n_dopants, eta, n), n)
+        labels = batch.astype(dtype)
+        if strided:
+            labels = np.repeat(labels, 2, axis=1)[:, ::2]
+        want = structured_amplitude(state, batch.astype(np.float64))
+        assert structured_amplitude(state, labels).tobytes() == want.tobytes()
+        assert structured_amplitude(state, labels[0]) == structured_amplitude(
+            state, batch[0].astype(np.float64))
+        bad = [2, -1, 256, 0.5, math.nan, math.inf, -math.inf]
+        if labels.dtype.kind in "iu":
+            info = np.iinfo(dtype)
+            bad = [v for v in bad + [info.min, info.max]
+                   if v not in (0, 1) and float(v).is_integer() and info.min <= v <= info.max]
+        elif labels.dtype.kind == "b":
+            bad = []
+        for value in bad:
+            row = data.draw(st.integers(0, len(batch) - 1), label="row")
+            site = data.draw(st.integers(0, n_dopants - 1), label="site")
+            wrong = labels.copy()
+            wrong[row, site] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"must be 0 \(ground\) or 1 \(excited\)"):
+                    structured_amplitude(state, wrong)
+                with pytest.raises(ValueError, match=r"must be 0 \(ground\) or 1 \(excited\)"):
+                    structured_amplitude(state, wrong[row])
 
 
 class TestBlockGroundOverlap:

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_DISC
-from sectorsim import avalanche
+from sectorsim import avalanche, hilbert
 from sectorsim.avalanche import (
     AvalancheParams,
     block_ground_overlap,
@@ -164,6 +164,24 @@ def test_cascade_builds_its_collision_matrix_once(offsets):
         assert counted.call_count == 1
         assert len(list(itertools.islice(generations, 3))) == 3
     assert counted.call_count == 1
+
+
+def checks_and_builds(call):
+    """(unitarity checks, ``TwoSiteGate`` builds) during ``call()``, counted
+    from an empty plan cache: every check is a cache miss."""
+    hilbert._gate_plan.cache_clear()
+    built = mock.Mock(wraps=TwoSiteGate.__post_init__)
+    with mock.patch.object(TwoSiteGate, "__post_init__", lambda gate: built(gate)):
+        call()
+    return hilbert._gate_plan.cache_info().misses, built.call_count
+
+
+def test_each_distinct_gate_matrix_is_checked_once():
+    # one collision matrix over 1 + 2 + 4 pairs; evolve adds the H and V
+    # absorption matrices and runs the 7 pairs in both registers
+    assert checks_and_builds(lambda: dense_avalanche(AvalancheParams(8, 0.6, 3), 3)) == (1, 7)
+    setup = MeasurementSetup(PhotonPolarisation(0.6, 0.8), 0.5, 0.6, 8, 8, 3)
+    assert checks_and_builds(lambda: evolve(setup, 3)) == (3, 16)
 
 
 def test_evolve_holds_two_and_a_half_joint_states():

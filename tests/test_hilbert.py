@@ -1,5 +1,6 @@
 """Dense state plumbing: flat-index convention, products, gates, guard."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import ETA_GRID, embedded_gate_matrix, haar_unitary, random_state_vector
 from sectorsim.avalanche import scattering_matrix
@@ -21,6 +23,7 @@ from sectorsim.hilbert import (
     dimension_guard,
     flat_index,
     inner_product,
+    kron_sites,
     tensor_product,
 )
 
@@ -155,6 +158,40 @@ class TestTensorProduct:
             tensor_product(a, b)
 
 
+# signed zeros, subnormals and ordinary magnitudes, all products finite
+FOLD_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def site_factors(draw):
+    """1 to 14 vectors, or square matrices, of site dimension 2 or 3; the
+    draw stops early once the product would pass 2**16 entries."""
+    matrix = draw(st.booleans())
+    factors = []
+    entries = 1
+    for _ in range(draw(st.integers(1, 14))):
+        d = draw(st.sampled_from([2, 3]))
+        if entries * d ** (1 + matrix) > 1 << 16 and factors:
+            break
+        entries *= d ** (1 + matrix)
+        shape = (d, d) if matrix else (d,)
+        factors.append(draw(hnp.arrays(np.complex128, shape,
+                                       elements=st.builds(complex, FOLD_PARTS, FOLD_PARTS))))
+    return factors
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(factors=site_factors())
+def test_kron_sites_equals_the_kron_fold_bit_for_bit(factors):
+    want = functools.reduce(np.kron, reversed(factors))
+    got = kron_sites(factors, "test product")
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestInnerProduct:
     def test_orthonormal_basis(self):
         a = basis_state((2, 2), (0, 1))
@@ -195,6 +232,32 @@ class TestTwoSiteGate:
     def test_identity_accepted(self):
         gate = TwoSiteGate((0, 2), np.eye(4))
         assert gate.sites == (0, 2)
+
+    @pytest.mark.parametrize("matrix", [np.ones((4, 4)), np.full((4, 4), np.nan)])
+    def test_refusal_is_never_remembered(self, matrix):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not unitary"):
+                TwoSiteGate((0, 1), matrix)
+
+    def test_matrix_written_into_a_non_unitary_one_is_refused_when_applied(self):
+        gate = TwoSiteGate((0, 1), scattering_matrix(0.6))
+        state = basis_state((2, 2), (1, 0))
+        apply_two_site_gate(state, gate)
+        gate.matrix[3, 1] = 0.7
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_two_site_gate(state, gate)
+
+    def test_matrix_written_into_another_unitary_applies_the_new_one(self):
+        rng = np.random.default_rng(17)
+        state = DenseState((2, 3, 2), random_state_vector(12, rng))
+        gate = TwoSiteGate((2, 0), np.eye(4, dtype=np.complex128))
+        assert apply_two_site_gate(state, gate).amps.tobytes() == state.amps.tobytes()
+        gate.matrix[...] = haar_unitary(4, rng)
+        fresh = TwoSiteGate((2, 0), gate.matrix.copy())
+        out = apply_two_site_gate(state, gate)
+        assert out.amps.tobytes() == apply_two_site_gate(state, fresh).amps.tobytes()
+        full = embedded_gate_matrix(state.dims, 2, 0, gate.matrix)
+        assert np.max(np.abs(out.amps - full @ state.amps)) <= 1e-12
 
 
 class TestApplyTwoSiteGate:

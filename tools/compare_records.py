@@ -54,6 +54,7 @@ VARIANTS = (
     ("complex_families", "sector_commutator", "h_re=0.6 h_im=0 v_re=0 v_im=0.8 N=7"),
     ("structured", "sector_commutator", "engine=structured N=12"),
     ("seed7", "oracle_check", "seed=7"),
+    ("seed_max", "oracle_check", "seed=2147483647"),
     ("oracle_overrides", "oracle_check",
      "seed=3 reference=no_avalanche engine=structured A_H=2 A_V=3 n_max=1 "
      "h_re=0 v_re=1 delta_re=0.2 eta_re=0.1 eta_im=0.2 N=9"),
