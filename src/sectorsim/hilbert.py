@@ -104,10 +104,10 @@ def check_guard(sizes, what: str) -> int:
 
 def kron_sites(factors, what: str) -> np.ndarray:
     """Kronecker product of one vector or one square matrix per site, site 0
-    fastest-varying; ``what`` names the request in a guard refusal."""
+    fastest-varying, as a new array; ``what`` names the request in a guard refusal."""
     check_guard((f.size for f in factors), f"{what} needs too many entries")
-    # kron's second factor varies fastest, so fold from the last site down,
-    # the running product on the left as kron has it; a matrix product is
+    # kron's second factor varies fastest, so fold from a copy of the last site
+    # down, the running product on the left as kron has it; a matrix product is
     # written with row and column axes already interleaved, as kron does
     def fold(acc, f):
         if f.ndim == 1:
@@ -115,7 +115,7 @@ def kron_sites(factors, what: str) -> np.ndarray:
         return np.multiply(acc[:, None, :, None], f[:, None, :]).reshape(
             acc.shape[0] * f.shape[0], -1)
 
-    return functools.reduce(fold, reversed(factors))
+    return functools.reduce(fold, reversed(factors[:-1]), factors[-1].copy())
 
 
 def _integral(value, what: str) -> int:

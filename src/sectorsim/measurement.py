@@ -22,7 +22,9 @@ generation when the ground reference is used; the no_avalanche reference
 instead tracks the seeded-but-frozen register overlap, giving the factor
 1 - (1-|eta|^2)**(2n) that converges to the same limit as n grows.  Both
 storylines are reported side by side and agree only under the ground
-reference.
+reference.  A ``MeasurementRecord`` stores n, the dense sandwich, the
+reference overlap and the limit; M = 2^n and the closed-form expectation
+are derived from those on read, so a record cannot contradict itself.
 
 ``sector_parameter_sweep`` is the one driver, which the CLI's measurement
 sweep and oracle check use and whose record n ``sector_parameter_expectation``
@@ -157,21 +159,30 @@ class MeasurementSetup:
 class MeasurementRecord:
     """One generation's worth of pointer-observable numbers.
 
-    ``expectation_direct`` is the dense sandwich <Psi_n| P |Psi_n>
-    (None when the dense engine was not run); ``expectation_formula`` is
-    the closed form |delta|^2 (|h|^2 - |v|^2) (1 - |x_H x_V|^2) with the
-    selected reference overlap; ``limit`` is the n -> infinity value.
-    Both registers cascade with the same eta to the same depth, so they
-    share one ``overlap``, x_H = x_V.  The two expectations coincide only
-    under the ground reference.
+    A record stores what the sweep measured: the depth ``n``,
+    ``expectation_direct``, the dense sandwich <Psi_n| P |Psi_n> (None when
+    the dense engine was not run), the selected reference ``overlap`` and
+    the n -> infinity value ``limit`` = |delta|^2 (|h|^2 - |v|^2).  Both
+    registers cascade with the same eta to the same depth, so they share one
+    ``overlap``, x_H = x_V.  ``m_electrons`` and ``expectation_formula`` are
+    derived from those on read.  The two expectations coincide only under
+    the ground reference.
     """
 
     n: int
-    m_electrons: int
     expectation_direct: float | None
-    expectation_formula: float
     overlap: complex
     limit: float
+
+    @property
+    def m_electrons(self) -> int:
+        """Cascade electrons per register, M = 2^n."""
+        return 1 << self.n
+
+    @property
+    def expectation_formula(self) -> float:
+        """The closed form |delta|^2 (|h|^2 - |v|^2) (1 - |x_H x_V|^2)."""
+        return self.limit * (1.0 - abs(self.overlap * self.overlap) ** 2)
 
 
 def _photon_ket(pol: PhotonPolarisation) -> DenseState:
@@ -232,22 +243,6 @@ def _pointer_expectation(setup: MeasurementSetup, psi: DenseState, registers) ->
     return float(abs(amp_h) ** 2 - abs(amp_v) ** 2)
 
 
-def _record(setup: MeasurementSetup, n: int, overlap: complex,
-            direct: float | None) -> MeasurementRecord:
-    """Generation n's record: the formula from the registers' shared overlap, beside ``direct``."""
-    pol = setup.pol
-    contrast = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
-    formula = contrast * (1.0 - abs(overlap * overlap) ** 2)
-    return MeasurementRecord(
-        n=n,
-        m_electrons=1 << n,
-        expectation_direct=direct,
-        expectation_formula=float(formula),
-        overlap=complex(overlap),
-        limit=float(contrast),
-    )
-
-
 def sector_parameter_expectation(
     setup: MeasurementSetup,
     n: int,
@@ -269,7 +264,7 @@ def sector_parameter_sweep(
     reference: str = "ground",
     compute_direct: bool = False,
 ) -> list[MeasurementRecord]:
-    """Records for generations 0..n_max, the structured formula in each.
+    """Records for generations 0..n_max, each holding its reference overlap.
 
     Both routes walk the generations once.  Each generation reads one overlap,
     shared by both registers; the no_avalanche one gains one block factor.
@@ -278,6 +273,8 @@ def sector_parameter_sweep(
     """
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}, got {reference!r}")
+    pol = setup.pol
+    limit = abs(setup.delta) ** 2 * (abs(pol.h) ** 2 - abs(pol.v) ** 2)
     generations = range(setup.n_max + 1)
     # the seed never de-excites, so no generation overlaps the all-ground register
     overlaps = itertools.repeat(0j) if reference == "ground" else _no_avalanche_overlaps(setup.eta)
@@ -292,7 +289,7 @@ def sector_parameter_sweep(
         directs = (_pointer_expectation(setup, next(joint), [next(r) for r in pointers])
                    for _ in generations)
     # zip asks generations first, so no stream builds a generation past n_max
-    return [_record(setup, n, overlap, direct)
+    return [MeasurementRecord(n, direct, overlap, limit)
             for n, overlap, direct in zip(generations, overlaps, directs)]
 
 

@@ -192,6 +192,18 @@ def test_kron_sites_equals_the_kron_fold_bit_for_bit(factors):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("factor", [np.array([0.6, -0.8j]),
+                                    np.array([[0.0, 1.0], [1j, -0.0]], dtype=np.complex128)])
+def test_kron_sites_of_one_factor_is_a_new_array(factor):
+    """Writing a one-site product leaves the caller's factor as it was."""
+    before = factor.tobytes()
+    got = kron_sites([factor], "one site")
+    assert got is not factor and not np.shares_memory(got, factor)
+    assert got.tobytes() == before
+    got[...] = 7.0
+    assert factor.tobytes() == before
+
+
 class TestInnerProduct:
     def test_orthonormal_basis(self):
         a = basis_state((2, 2), (0, 1))

@@ -1,6 +1,7 @@
 """Polarisation measurement: excitation, cascade, pointer statistics, QND."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from sectorsim.measurement import (
     PHOTON_H,
     PHOTON_V,
     PHOTON_VAC,
+    REFERENCES,
+    MeasurementRecord,
     MeasurementSetup,
     PhotonPolarisation,
     _pointer_expectation,
@@ -34,6 +37,7 @@ from sectorsim.measurement import (
     qnd_premeasure,
     qnd_sample,
     sector_parameter_expectation,
+    sector_parameter_sweep,
 )
 
 H_ONLY = PhotonPolarisation(1.0, 0.0)
@@ -488,3 +492,36 @@ def test_sliced_sandwich_equals_ket_sandwich(a_h, a_v, depth, eta, delta, theta,
     registers = [dense_avalanche(params, n) for params in setup.registers]
     assert abs(_pointer_expectation(setup, psi, registers)
                - ket_sandwich(setup, psi, registers)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sizes=unequal_registers(), eta=UNIT_DISC, delta=UNIT_DISC,
+       theta=st.floats(0.0, math.pi / 2),
+       phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+       reference=st.sampled_from(REFERENCES), compute_direct=st.booleans())
+@example(sizes=(4, 2, 1), eta=0.3 - 0.4j, delta=0.36 + 0.48j, theta=math.acos(0.8),
+         phases=(0.9, -2.0), reference="no_avalanche", compute_direct=True)
+def test_records_store_four_fields_and_derive_m_and_the_formula(
+        sizes, eta, delta, theta, phases, reference, compute_direct):
+    """A record holds n, the dense sandwich, the overlap and the limit;
+    M = 2^n and the closed form are read from those, and cannot be passed in."""
+    a_h, a_v, n_max = sizes
+    pol = PhotonPolarisation(cmath.rect(math.cos(theta), phases[0]),
+                             cmath.rect(math.sin(theta), phases[1]))
+    setup = MeasurementSetup(pol, delta, eta, a_h, a_v, n_max)
+    records = sector_parameter_sweep(setup, reference, compute_direct)
+    assert [rec.n for rec in records] == list(range(n_max + 1))
+    for rec in records:
+        assert rec.m_electrons == 1 << rec.n
+        want = rec.limit * (1.0 - abs(rec.overlap * rec.overlap) ** 2)
+        assert type(rec.expectation_formula) is float
+        assert rec.expectation_formula.hex() == want.hex(), rec
+        assert (rec.expectation_direct is None) == (not compute_direct)
+        stored = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+        assert list(stored) == ["n", "expectation_direct", "overlap", "limit"]
+        assert MeasurementRecord(**stored) == rec
+        derived = {"m_electrons": rec.m_electrons,
+                   "expectation_formula": rec.expectation_formula}
+        for extra in [{name: value} for name, value in derived.items()] + [derived]:
+            with pytest.raises(TypeError):
+                MeasurementRecord(**stored, **extra)

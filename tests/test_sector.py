@@ -286,3 +286,11 @@ def test_lanczos_norm_matches_matrix_spectral_norm(seed, n_sites):
     op_a, op_b = dense_sector_operator(family_a), dense_sector_operator(family_b)
     want = float(np.linalg.norm(op_a @ op_b - op_b @ op_a, 2))
     assert abs(commutator_norm(family_a, family_b, method="dense") - want) <= 1e-12
+
+
+def test_one_site_product_state_is_not_the_callers_vector():
+    vec = PLUS.copy()
+    out = dense_product_state([vec])
+    assert out is not vec and not np.shares_memory(out, vec)
+    out[0] = 0.0
+    assert vec.tobytes() == PLUS.tobytes()

@@ -47,6 +47,9 @@ VARIANTS = (
      "h_re=0.48 h_im=0.64 v_re=0.6 engine=both"),
     ("v_smaller", "measurement_sweep", "A_H=6 A_V=2 n_max=1 eta_re=0.3 eta_im=-0.5 engine=both"),
     ("no_avalanche_structured", "measurement_sweep", "reference=no_avalanche engine=structured"),
+    ("no_avalanche_complex", "measurement_sweep",
+     "reference=no_avalanche engine=structured eta_re=0.3 eta_im=-0.4 delta_re=0.36 "
+     "delta_im=0.48 h_re=0.48 h_im=0.64 v_re=0.6 A_H=4 A_V=6 n_max=2"),
     ("ground_structured", "measurement_sweep",
      "engine=structured A_H=1024 A_V=4096 n_max=10 eta_re=0.36 eta_im=0.48"),
     ("no_avalanche_dense", "measurement_sweep",
