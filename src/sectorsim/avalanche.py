@@ -70,7 +70,6 @@ from .hilbert import (
     apply_two_site_gate,
     basis_state,
     check_guard,
-    flat_index,
 )
 
 __all__ = [
@@ -370,7 +369,7 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
     size = 1 << n
     amps = np.zeros(len(batch), dtype=np.complex128)
     seeded = ((batch[:, 0] == 1) & ~batch[:, size:].any(axis=1)).nonzero()[0]
-    if not seeded.size:
+    if not seeded.size:  # _keyed_levels needs at least one row
         return 0j if bits.ndim == 1 else amps
     if seeded.size < len(batch):
         batch = batch.take(seeded, axis=0)
@@ -429,12 +428,7 @@ def overlap_no_avalanche(params: AvalancheParams, n: int) -> complex:
     return next(itertools.islice(_no_avalanche_overlaps(params.eta), n, None))
 
 
-def _seed_only_amplitude(state: DenseState) -> complex:
-    """Amplitude of the seed excited and every other electron ground."""
-    labels = (EXCITED,) + (GROUND,) * (state.n_sites - 1)
-    return complex(state.amps[flat_index(state.dims, labels)])
-
-
 def dense_no_avalanche_overlap(params: AvalancheParams, n: int) -> complex:
-    """Dense-engine twin of :func:`overlap_no_avalanche` (oracle route)."""
-    return _seed_only_amplitude(dense_avalanche(params, n))
+    """Dense-engine twin of :func:`overlap_no_avalanche` (oracle route): with site 0
+    fastest-varying, entry 1 is the seed excited and every other electron ground."""
+    return complex(dense_avalanche(params, n).amps[1])

@@ -24,7 +24,6 @@ import numpy as np
 
 from .avalanche import (
     AvalancheParams,
-    _seed_only_amplitude,
     cascade_generations,
     dense_no_avalanche_overlap,
     overlap_no_avalanche,
@@ -313,7 +312,7 @@ def _cascade_errors(params: AvalancheParams, n: int, dense: DenseState,
     """Generation n's amplitudes, all-ground included, and no-avalanche overlap vs dense."""
     st = structured_avalanche(params, n)
     return [np.max(np.abs(dense.amps - structured_amplitude(st, every_config))),
-            abs(overlap_no_avalanche(params, n) - _seed_only_amplitude(dense))]
+            abs(overlap_no_avalanche(params, n) - complex(dense.amps[1]))]
 
 
 def _worst(errors: list[float]) -> float:
@@ -382,7 +381,7 @@ def _render_csv(records: list[dict]) -> str:
 
 def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:
     def clean(value):
-        if isinstance(value, float) and math.isnan(value):
+        if isinstance(value, float) and not math.isfinite(value):
             return None
         return value
 

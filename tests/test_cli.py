@@ -384,6 +384,26 @@ class TestExitCodes:
         assert code == 4
         assert "engine disagreement" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("plant, argv, offending", [
+        ("structured_amplitude", ("oracle-check",), "max_abs_error"),
+        ("overlap_no_avalanche", ("avalanche-sweep", "--set", "engine=both"), "abs_diff"),
+    ])
+    def test_non_finite_disagreement_exits_4_with_records(self, capsys, monkeypatch, plant,
+                                                          argv, offending, value, fmt):
+        monkeypatch.setattr(cli, plant, lambda *args: complex(value))
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 4
+        assert "engine disagreement" in err
+        if fmt == "csv":
+            assert list(csv.DictReader(out.splitlines()))
+            return
+        records = json.loads(out)["records"]
+        if plant == "structured_amplitude":
+            records = [r for r in records if r["check"] == "cascade_engines"]
+        assert records and all(r[offending] is None for r in records)
+
     @pytest.mark.parametrize("argv", [
         ("avalanche-sweep", "--set", "eta_re=nan", "--set", "n_max=2"),
         ("measurement-sweep", "--set", "delta_re=nan"),

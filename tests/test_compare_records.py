@@ -62,3 +62,13 @@ def test_config_only_marks_json_files_whose_records_agree(tmp_path):
     assert changed == ["config.json", "records.json", "rows.csv", "zero.json"]
     assert [name for name in changed
             if compare_records.config_only(base / name, head / name)] == ["config.json"]
+
+
+def test_a_raising_run_is_recorded_with_its_message(tmp_path):
+    package = tmp_path / "src" / "sectorsim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv=None):\n    raise ValueError('boom')\n")
+    codes = compare_records.run_tree(tmp_path / "src", tmp_path / "out",
+                                     [("oracle_check.csv", ["oracle-check"])])
+    assert codes == {"oracle_check.csv": "ValueError: boom"}

@@ -72,7 +72,8 @@ VARIANTS = (
 )
 
 # Runs the jobs read from stdin against the sectorsim found on PYTHONPATH,
-# one call of cli.main each, and prints every exit code as one JSON object.
+# one call of cli.main each, and prints every exit code, or the exception a
+# run raised, as one JSON object.
 CHILD = """
 import json, sys
 from pathlib import Path
@@ -86,7 +87,7 @@ for name, argv in json.load(sys.stdin):
     try:
         codes[name] = main(argv + ["--out", str(out / name)])
     except Exception as exc:
-        codes[name] = type(exc).__name__
+        codes[name] = f"{type(exc).__name__}: {exc}"
 print(json.dumps(codes))
 """
 
