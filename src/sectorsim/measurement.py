@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class MeasurementSetup:
     """Photon, absorption amplitude, collision amplitude, register sizes.
 
     ``registers`` holds the H and V registers' ``AvalancheParams``, H first,
-    built from the fields and left out of equality and hashing;
+    derived from the fields when read;
     ``seed_sites`` are the two seed electrons' sites in the joint state.
     """
 
@@ -130,21 +130,21 @@ class MeasurementSetup:
     n_dopants_h: int
     n_dopants_v: int
     n_max: int
-    registers: tuple[AvalancheParams, AvalancheParams] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         delta = _check_amplitude(self.delta, "delta")
         # the register-side validation covers eta, the sizes and the depth
-        registers = tuple(AvalancheParams(a, self.eta, self.n_max)
-                          for a in (self.n_dopants_h, self.n_dopants_v))
-        h, v = registers
+        h, v = self.registers
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "eta", h.eta)
         object.__setattr__(self, "n_dopants_h", h.n_dopants)
         object.__setattr__(self, "n_dopants_v", v.n_dopants)
         object.__setattr__(self, "n_max", h.n_max)
-        object.__setattr__(self, "registers", registers)
+
+    @property
+    def registers(self) -> tuple[AvalancheParams, AvalancheParams]:
+        return (AvalancheParams(self.n_dopants_h, self.eta, self.n_max),
+                AvalancheParams(self.n_dopants_v, self.eta, self.n_max))
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -101,10 +101,6 @@ class ProductState:
         object.__setattr__(self, "psi", _checked_site_vectors(self.psi, "psi"))
 
     @property
-    def n_sites(self) -> int:
-        return len(self.psi)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.psi)
 

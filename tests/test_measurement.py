@@ -39,6 +39,7 @@ from sectorsim.measurement import (
     sector_parameter_expectation,
     sector_parameter_sweep,
 )
+from sectorsim.sector import ElementaryFamily, ProductState
 
 H_ONLY = PhotonPolarisation(1.0, 0.0)
 BALANCED = PhotonPolarisation(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -525,3 +526,30 @@ def test_records_store_four_fields_and_derive_m_and_the_formula(
         for extra in [{name: value} for name, value in derived.items()] + [derived]:
             with pytest.raises(TypeError):
                 MeasurementRecord(**stored, **extra)
+
+
+def test_setups_store_six_fields_and_derive_the_registers():
+    """A setup holds the photon, the two amplitudes, the two sizes and the
+    depth; the H and V registers are built from those normalised fields
+    whenever they are read, and cannot be passed in."""
+    overshoot = (0.6 + 0.8j) * (1.0 + 5e-13)
+    setups = [MeasurementSetup(TILTED, 0.5, 0.6, 4.0, np.int64(8), 2),
+              MeasurementSetup(BALANCED, 0.3j, overshoot, np.int64(8), 4.0, 1)]
+    setups.append(dataclasses.replace(setups[0], n_max=1))
+    for setup in setups:
+        stored = {f.name: getattr(setup, f.name) for f in dataclasses.fields(setup)}
+        assert list(stored) == ["pol", "delta", "eta", "n_dopants_h", "n_dopants_v", "n_max"]
+        assert MeasurementSetup(**stored) == setup
+        with pytest.raises(TypeError):
+            MeasurementSetup(**stored, registers=setup.registers)
+        assert type(setup.n_dopants_h) is type(setup.n_dopants_v) is int
+        assert abs(setup.eta) <= 1.0
+        assert setup.registers == (AvalancheParams(setup.n_dopants_h, setup.eta, setup.n_max),
+                                   AvalancheParams(setup.n_dopants_v, setup.eta, setup.n_max))
+    assert [setup.n_max for setup in setups] == [2, 1, 1]
+    assert setups[1].eta != overshoot
+    assert [params.n_dopants for params in setups[2].registers] == [4, 8]
+    # a product state's site count is len(psi); the family keeps its own,
+    # which sector_expectation and sector_apply read
+    assert not hasattr(ProductState, "n_sites")
+    assert hasattr(ElementaryFamily, "n_sites")

@@ -32,13 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (tag, config stem, overrides); each run's kind is its stem with "-" for
 # "_".  The shipped configs use only real amplitudes and equal registers,
-# so these also run complex, unit-modulus, unequal-register, signed-zero,
-# benchmark-size and other-route inputs.
+# so these also run complex, unit-modulus, overshooting, unequal-register,
+# signed-zero, benchmark-size and other-route inputs.
 VARIANTS = (
     ("complex", "measurement_sweep",
      "eta_re=0.36 eta_im=0.48 delta_re=0.3 delta_im=0.4 h_re=0.48 h_im=0.64 v_re=0.6"),
     ("delta_phase", "measurement_sweep", "delta_re=-0.6 delta_im=0.8"),
     ("delta_one", "measurement_sweep", "delta_re=1.0"),
+    ("eta_overshoot", "measurement_sweep", "eta_re=0.6 eta_im=0.8000000000001 engine=both"),
     ("delta_i_dense", "measurement_sweep", "delta_re=0 delta_im=1.0 engine=dense"),
     ("v_only", "measurement_sweep", "h_re=0 v_re=1 delta_re=0.3 delta_im=0.4"),
     ("unequal", "measurement_sweep", "A_H=3 A_V=5 n_max=1 eta_re=0.3 eta_im=-0.5"),
