@@ -27,6 +27,16 @@ Conventions used throughout the package:
   in a buffer and is written to its strided destination once.  The
   buffers of one tile hold at most ``_TILE_AMPS`` amplitudes (256 KiB),
   so a gate's scratch is a constant, whatever the state's size.
+* Only states built with ``DenseState(dims, amps)``, as callers and
+  ``tensor_product`` build them, are scanned for finiteness when built;
+  such a state keeps the caller's array, which the caller may still write.
+  Basis states, and so every register, and gate outputs are built without
+  a scan: their amplitude arrays are read-only, and each records an upper
+  bound on its sum of squares, 1 for a basis state and for a gate output
+  its input's bound times ``_gate_growth``.  A gate whose input carries a
+  bound of at most ``_TRUSTED_BOUND`` on a read-only array cannot
+  overflow, so it skips the scan of its output; a gate on any other input
+  scans its output and records the measured sum as the output's bound.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -66,6 +76,10 @@ DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
 # amplitudes of one gate tile's buffers: 256 KiB, well inside a per-core L2
 _TILE_AMPS = 1 << 14
+# the largest sum of squares a gate trusts without scanning its output: every
+# amplitude is then at most 2**500, so no product or partial sum of a gate row
+# comes near the largest double, and nor does the output's bound
+_TRUSTED_BOUND = 2.0 ** 1000
 
 
 class DimensionLimitError(ValueError):
@@ -148,6 +162,9 @@ class DenseState:
     dims: tuple[int, ...]
     amps: np.ndarray
 
+    # upper bound on sum |amp|^2, recorded only by _owned; None means unknown
+    _bound = None
+
     def __post_init__(self):
         dims, size = _checked_dims(self.dims)
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
@@ -155,14 +172,7 @@ class DenseState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, dims {dims} need ({size},)"
             )
-        # any inf or NaN makes the sum of squares non-finite, so a finite sum
-        # settles it in one BLAS pass; only a non-finite sum, which finite
-        # entries give when it overflows, needs the elementwise scan
-        parts = amps.view(np.float64)
-        with np.errstate(all="ignore"):
-            finite = math.isfinite(np.dot(parts, parts))
-        if not (finite or np.all(np.isfinite(parts))):
-            raise ValueError("amplitudes must be finite")
+        _sum_of_squares(amps)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
 
@@ -172,6 +182,32 @@ class DenseState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+
+def _sum_of_squares(amps: np.ndarray) -> float:
+    """Sum of |amp|^2 over the complex vector ``amps``, inf when finite
+    entries overflow it; ValueError if any entry is inf or NaN."""
+    # any inf or NaN makes the sum non-finite, so a finite sum settles it in
+    # one BLAS pass; only a non-finite sum, which finite entries give when it
+    # overflows, needs the elementwise scan
+    parts = amps.view(np.float64)
+    with np.errstate(all="ignore"):
+        total = float(np.dot(parts, parts))
+    if not (math.isfinite(total) or np.all(np.isfinite(parts))):
+        raise ValueError("amplitudes must be finite")
+    return total
+
+
+def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float | None) -> DenseState:
+    """State over ``amps``, an array the package just allocated for the
+    validated ``dims``, with no check: the array is made read-only, so
+    ``bound``, an upper bound on its sum of squares (or None), stays true."""
+    amps.flags.writeable = False
+    state = object.__new__(DenseState)
+    object.__setattr__(state, "dims", dims)
+    object.__setattr__(state, "amps", amps)
+    object.__setattr__(state, "_bound", bound)
+    return state
 
 
 @dataclass(frozen=True)
@@ -247,7 +283,7 @@ def basis_state(dims, labels) -> DenseState:
     dims, size = _checked_dims(dims)
     amps = np.zeros(size, dtype=np.complex128)
     amps[flat_index(dims, labels)] = 1.0
-    return DenseState(dims, amps)
+    return _owned(dims, amps, 1.0)
 
 
 def tensor_product(a: DenseState, b: DenseState) -> DenseState:
@@ -263,7 +299,9 @@ def inner_product(a: DenseState, b: DenseState) -> complex:
 
 
 def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
-    """Apply a two-site unitary, leaving all other sites untouched."""
+    """Apply a two-site unitary, leaving all other sites untouched, into a
+    new read-only state; its output is scanned only when ``state`` carries
+    no trusted bound."""
     i, j = gate.sites
     n = state.n_sites
     if i >= n or j >= n:
@@ -320,4 +358,33 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
                 np.multiply(gathered[slot], c, out=tmp)
                 np.add(acc, tmp, out=acc)
             target[key] = acc
-    return DenseState(dims, out)
+    # a copy or an unpickled state can carry a bound on a writeable array
+    trusted = state._bound is not None and not state.amps.flags.writeable
+    if trusted and state._bound <= _TRUSTED_BOUND:
+        return _owned(dims, out, state._bound * _gate_growth(di * dj))
+    total = _sum_of_squares(out)
+    # a dot product of m non-negative terms is at least (1 - gamma_m) times
+    # the exact sum, gamma_m = m*u/(1 - m*u) (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., sec. 3.1), so with room for its own
+    # rounding this is no less than the exact sum
+    return _owned(dims, out, total * (1 + (out.size + 1) * 2.0**-51)
+                  if math.isfinite(total) else None)
+
+
+def _gate_growth(size: int) -> float:
+    """Factor by which a gate with a ``size`` x ``size`` matrix that passed
+    ``_gate_plan``'s check can raise a finite state's sum of squares, its
+    kernel's rounding included (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., secs. 3.1 and 3.6, with u = 2**-53).
+
+    A complex sum of at most ``size`` products is within c = (size+2)*4u of
+    its terms' moduli summed.  So every entry of the exact U^H U - I is
+    within t = UNITARITY_TOL + c of 0, and by Gershgorin ||U||_2^2 <= 1 +
+    size*t.  A row's output is off by at most c * sum_k |U_rk||x_k|, so a
+    pair block's output norm is at most (1 + c*sqrt(size)) ||U||_2 ||x||,
+    and summed over blocks the sum of squares grows by at most
+    (1 + size*t)(1 + c*sqrt(size))^2 <= 1 + size*(UNITARITY_TOL + 4c) +
+    3c*size^2*t.  The extra size*c below covers that last term, while
+    3*size*t < 1, and the few roundings of the bound itself.
+    """
+    return 1.0 + size * (UNITARITY_TOL + 5 * (size + 2) * 2.0**-51)

@@ -48,12 +48,15 @@ __all__ = [
 STATE_NORM_TOL = 1e-12
 MODIFIED_SITE_TOL = 1e-12
 _COEF_DROP_TOL = 1e-14
-# Lanczos on i[X_a, X_b]: step cap, the residual norm that means the Krylov
-# space is invariant, the largest residual a returned Ritz pair may have,
-# and the seed of the start vector
+# Lanczos on i[X_a, X_b]: the step cap; then, as fractions of the operator's
+# scale (the largest ||A q_j|| seen), the residual norm that means the Krylov
+# space is invariant, the largest residual a returned Ritz pair may have and
+# the largest departure from a Hermitian operator's Gram-Schmidt
+# coefficients; and the seed of the start vector
 _LANCZOS_STEPS = 60
 _BREAKDOWN_TOL = 1e-13
-_RITZ_RESIDUAL_TOL = 1e-12
+_RITZ_RESIDUAL_TOL = 1e-10
+_HERMITIAN_TOL = 1e-10
 _LANCZOS_SEED = 20241216
 
 
@@ -206,8 +209,13 @@ def _lanczos_commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFam
     with full reorthogonalisation from a seeded start vector.
 
     Stops when the Krylov space is invariant or after ``_LANCZOS_STEPS``
-    steps, and returns NaN unless the tridiagonal matrix is finite and the
-    top Ritz pair's residual is at most ``_RITZ_RESIDUAL_TOL``.
+    steps, and returns NaN unless the tridiagonal matrix is finite, the top
+    Ritz pair's residual is at most ``_RITZ_RESIDUAL_TOL`` and the computed
+    products kept the coefficients of a Hermitian operator (<q_j|A q_j> real,
+    <q_{j-1}|A q_j> = beta_{j-1}, no component on older vectors) to within
+    ``_HERMITIAN_TOL``, each relative to the largest ||A q_j||.  A norm
+    below the products' rounding, which breaks that symmetry, so reads NaN,
+    not a norm of the rounding.
     """
     dims = family_a.dims
     check_guard((_LANCZOS_STEPS + 1,) + dims,
@@ -220,29 +228,39 @@ def _lanczos_commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFam
     basis[0] = start / np.linalg.norm(start)
     alphas: list[float] = []
     betas: list[float] = []
+    scale = 0.0  # the largest ||A q_j||, a lower bound on ||A||
+    skew = 0.0  # the largest departure from a Hermitian operator's coefficients
     for j in range(_LANCZOS_STEPS):
         q = basis[j]
         w = 1j * (_apply_sector(family_a, _apply_sector(family_b, q))
                   - _apply_sector(family_b, _apply_sector(family_a, q)))
+        scale = max(scale, float(np.linalg.norm(w)))
         known = basis[:j + 1]
-        alpha = 0.0
+        coefs = np.zeros(j + 1, dtype=np.complex128)
         for _ in range(2):  # classical Gram-Schmidt, twice
             coef = (known @ w.conj()).conj()  # <q_i|w>, without conjugating the basis
             w -= coef @ known
-            alpha += coef[j].real
-        alphas.append(alpha)
+            coefs += coef
+        alphas.append(coefs[j].real)
+        # a Hermitian A makes <q_j|A q_j> real, <q_{j-1}|A q_j> = beta_{j-1}
+        # and every older coefficient 0: keep the departures from that
+        coefs[j] -= coefs[j].real
+        if j:
+            coefs[j - 1] -= betas[j - 1]
+        skew = max(skew, float(np.max(np.abs(coefs))))
         beta = float(np.linalg.norm(w))
-        if not beta > _BREAKDOWN_TOL:
+        if not beta > _BREAKDOWN_TOL * scale:
             break
         betas.append(beta)
         basis[j + 1] = w / beta
     m = len(alphas)
     tridiagonal = np.diag(alphas) + np.diag(betas[:m - 1], 1) + np.diag(betas[:m - 1], -1)
-    if not (np.all(np.isfinite(tridiagonal)) and math.isfinite(beta)):
+    if not (np.all(np.isfinite(tridiagonal)) and math.isfinite(beta)
+            and skew <= _HERMITIAN_TOL * scale):
         return math.nan
     ritz, vectors = np.linalg.eigh(tridiagonal)
     top = int(np.argmax(np.abs(ritz)))
-    if not abs(beta * vectors[-1, top]) <= _RITZ_RESIDUAL_TOL:
+    if not abs(beta * vectors[-1, top]) <= _RITZ_RESIDUAL_TOL * scale:
         return math.nan
     return float(abs(ritz[top]))
 
@@ -257,10 +275,12 @@ def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,
     both sector parameters twice by per-site contraction, with a Krylov
     basis of ``_LANCZOS_STEPS + 1`` flat vectors checked against the
     dimension guard before it is allocated.  It returns NaN when Lanczos
-    does not converge, so a comparison with the analytic route fails
-    closed.  Uniform families converge within N + 1 steps; random
-    families with distinct sites may not: 1 of 25 random qubit pairs
-    gave NaN at N = 11 and 6 of 25 at N = 12 (none up to N = 10).
+    does not converge, or when the norm lies below the rounding of the
+    sector products (against |0>, a family with |h| <= 1e-8 at each N
+    in 2..6, and |1> from N = 5 on), so a comparison with the analytic
+    route fails closed.  Uniform families converge within N + 1 steps; random
+    families with distinct sites may not: of 25 random qubit pairs per N,
+    1 gave NaN at N = 11 and 2 at N = 12 (none up to N = 10).
     """
     if family_a.dims != family_b.dims:
         raise ValueError(

@@ -207,6 +207,18 @@ class TestOtherKinds:
         for row in rows:
             assert abs(float(row["dense_norm"]) - h_times_v / int(row["N"])) <= 1e-12
 
+    def test_dense_commutator_below_its_rounding_exits_4(self, capsys):
+        # the dense route cannot resolve 2e-21 from products of order 1, so
+        # it reads NaN and engine=both fails closed
+        code, out, err = run_cli(capsys, "sector-commutator", "--set", "N=5",
+                                 "--set", "h_re=1e-20", "--set", "v_re=1",
+                                 "--set", "engine=both")
+        assert code == 4, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [float(r["analytic_norm"]) for r in rows] == pytest.approx(
+            [1e-20 / n for n in range(2, 6)], rel=1e-12)
+        assert all(math.isnan(float(r["dense_norm"])) for r in rows)
+
     def test_qnd_demo_probabilities_and_sampling(self, capsys):
         code, out, _ = run_cli(capsys, "qnd-demo",
                                "--set", "h_re=0.83666002653407555",

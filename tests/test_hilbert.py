@@ -1,9 +1,12 @@
 """Dense state plumbing: flat-index convention, products, gates, guard."""
 
+import copy
 import functools
 import math
+import pickle
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ETA_GRID, embedded_gate_matrix, haar_unitary, random_state_vector
-from sectorsim.avalanche import scattering_matrix
+from conftest import ETA_GRID, UNIT_DISC, embedded_gate_matrix, haar_unitary, random_state_vector
+from sectorsim import hilbert
+from sectorsim.avalanche import (
+    AvalancheParams,
+    _rotation,
+    cascade_generations,
+    dense_avalanche,
+    scattering_matrix,
+    seeded_register,
+)
 from sectorsim.hilbert import (
     _TILE_AMPS,
+    _TRUSTED_BOUND,
+    UNITARITY_TOL,
     DenseState,
     DimensionLimitError,
     TwoSiteGate,
@@ -546,3 +559,135 @@ def test_gate_scratch_is_bounded_by_a_constant(dims, pair):
     finally:
         tracemalloc.stop()
     assert peak - out.amps.nbytes <= 16 * _TILE_AMPS + 64 * 1024
+
+
+# -- package-built states carry a bound; caller-built states are scanned ------
+
+def _sum_of_squares_exact(state) -> float:
+    """Sum of |amp|^2 with one rounding per square and none in the sum."""
+    parts = state.amps.view(np.float64)
+    return math.fsum((parts * parts).tolist())
+
+
+def _edge_unitary(size, rng):
+    """A Haar unitary times sqrt(I + c J), J all ones and c just under
+    UNITARITY_TOL: every entry of U^H U - I is c, so the gate passes its
+    check and ||U||_2^2 = 1 + size*c, Gershgorin's worst case."""
+    c = 0.99 * UNITARITY_TOL
+    root = np.eye(size) + (math.sqrt(1.0 + c * size) - 1.0) / size * np.ones((size, size))
+    return haar_unitary(size, rng) @ root
+
+
+def _assert_trusted(state):
+    assert not state.amps.flags.writeable
+    assert np.all(np.isfinite(state.amps))
+    assert state._bound is not None and state._bound >= _sum_of_squares_exact(state)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+    # a qubit gives every pair it is in a matrix of at most 6x6
+    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5).filter(lambda d: 2 in d),
+    data=st.data(),
+)
+def test_package_built_chains_carry_a_bound_and_are_never_scanned(seed, dims, data):
+    # collision (4x4), absorption (6x6, photon site first) and random
+    # unitaries at the tolerance edge (up to 6x6) on a basis state
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(len(dims)) for j in range(len(dims))
+             if i != j and dims[i] * dims[j] <= 6]
+    labels = [data.draw(st.integers(0, d - 1), label="label") for d in dims]
+    state = basis_state(tuple(dims), labels)
+    _assert_trusted(state)
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        for _ in range(data.draw(st.integers(1, 12), label="gates")):
+            i, j = data.draw(st.sampled_from(pairs), label="pair")
+            kind = data.draw(st.sampled_from(["collision", "absorption", "edge"]), label="kind")
+            if kind == "collision" and dims[i] == dims[j] == 2:
+                matrix = scattering_matrix(data.draw(st.sampled_from(ETA_GRID), label="eta"))
+            elif kind == "absorption" and (dims[i], dims[j]) == (3, 2):
+                photon = data.draw(st.sampled_from([1, 2]), label="photon")
+                matrix = _rotation(6, photon, 3, data.draw(UNIT_DISC, label="delta"))
+            else:
+                matrix = _edge_unitary(dims[i] * dims[j], rng)
+            state = apply_two_site_gate(state, TwoSiteGate((i, j), matrix))
+            _assert_trusted(state)
+    assert scan.call_count == 0
+
+
+def test_the_bound_covers_gershgorins_worst_case():
+    # F spreads the pair's ground label over all six pair labels, the
+    # eigenvector of the edge gate's sqrt(I + c J) with eigenvalue
+    # sqrt(1 + 6c), so each of 50 edge gates raises the sum by 1 + 6c
+    c = 0.99 * UNITARITY_TOL
+    fourier = np.fft.fft(np.eye(6)) / math.sqrt(6.0)
+    edge = np.eye(6) + (math.sqrt(1.0 + 6 * c) - 1.0) / 6 * np.ones((6, 6))
+    state = apply_two_site_gate(basis_state((2, 3, 2), (1, 0, 0)), TwoSiteGate((1, 2), fourier))
+    for _ in range(50):
+        state = apply_two_site_gate(state, TwoSiteGate((1, 2), edge))
+        _assert_trusted(state)
+    assert _sum_of_squares_exact(state) > (1.0 + 6 * c) ** 49
+
+
+@pytest.mark.parametrize("scale, scans", [
+    (1.0, 1),  # the first output is scanned and carries its measured bound
+    (1e200, 4),  # the sum of squares overflows, so no output carries a bound
+    (2.0 ** 501, 4),  # every output's bound passes _TRUSTED_BOUND
+])
+def test_caller_states_are_scanned_until_a_bound_is_trusted(scale, scans):
+    rng = np.random.default_rng(3)
+    state = DenseState((2, 3, 2), random_state_vector(12, rng) * scale)
+    assert state._bound is None
+    gate = TwoSiteGate((2, 1), haar_unitary(6, rng))
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        for _ in range(4):
+            state = apply_two_site_gate(state, gate)
+            assert not state.amps.flags.writeable
+    assert scan.call_count == scans
+    if scale == 2.0 ** 501:
+        assert _TRUSTED_BOUND < _sum_of_squares_exact(state) <= state._bound
+
+
+def test_a_gate_that_overflows_a_caller_state_fails_closed():
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[0] = amps[1] = 1.5e308  # finite entries whose sum of squares overflows
+    state = DenseState((2, 2), amps)
+    gate = TwoSiteGate((0, 1), _rotation(4, 0, 1, math.sqrt(0.5)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
+        apply_two_site_gate(state, gate)
+
+
+def test_nan_written_into_a_callers_array_is_caught_by_the_next_gate():
+    amps = random_state_vector(8, np.random.default_rng(5))
+    state = DenseState((2, 2, 2), amps)
+    amps[5] = np.nan  # the state holds the caller's array itself
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        apply_two_site_gate(state, TwoSiteGate((0, 2), scattering_matrix(0.6)))
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+def test_a_copied_state_on_a_writeable_array_is_scanned(duplicate):
+    state = duplicate(dense_avalanche(AvalancheParams(4, 0.6, 2), 2))
+    assert state.amps.flags.writeable and state._bound is not None
+    state.amps[3] = np.nan
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        apply_two_site_gate(state, TwoSiteGate((0, 1), scattering_matrix(0.6)))
+
+
+def test_a_carried_cascade_validates_no_state(monkeypatch):
+    original = DenseState.__post_init__
+    inits = []
+
+    def counting(self):
+        inits.append(self.dims)
+        original(self)
+
+    monkeypatch.setattr(DenseState, "__post_init__", counting)
+    generations = cascade_generations(seeded_register(8), 0.36 + 0.48j, (0,))
+    for _ in range(4):
+        _assert_trusted(next(generations))
+    assert inits == []
+    amps = dense_avalanche(AvalancheParams(8, 0.6, 3), 3).amps
+    with pytest.raises(ValueError, match="read-only"):
+        amps[0] = 1.0

@@ -1,10 +1,11 @@
 """Sector-parameter algebra against dense-operator and eigenvalue oracles."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_qubit, random_state_vector
@@ -294,3 +295,22 @@ def test_one_site_product_state_is_not_the_callers_vector():
     assert out is not vec and not np.shares_memory(out, vec)
     out[0] = 0.0
     assert vec.tobytes() == PLUS.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    log_h=st.floats(min_value=-150.0, max_value=0.0),
+    n_sites=st.integers(min_value=2, max_value=6),
+    phase=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@example(log_h=-13.0, n_sites=2, phase=0.0)  # 96% low before the tests were relative
+@example(log_h=-20.0, n_sites=5, phase=0.0)  # a norm of the rounding, 2e2 times too high
+def test_dense_commutator_resolves_a_tiny_norm_or_returns_nan(log_h, n_sites, phase):
+    # |0> against (h e^{i phase}, 1), normalised as the CLI does: the dense
+    # route matches the analytic norm h / (N (1 + h^2)) or declines
+    other = np.array([10.0 ** log_h * cmath.rect(1.0, phase), 1.0], dtype=np.complex128)
+    other /= np.linalg.norm(other)
+    family_a, family_b = uniform_family(KET0, n_sites), uniform_family(other, n_sites)
+    analytic = commutator_norm(family_a, family_b)
+    dense = commutator_norm(family_a, family_b, method="dense")
+    assert math.isnan(dense) or abs(dense - analytic) <= 1e-8 * analytic

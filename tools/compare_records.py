@@ -33,7 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # (tag, config stem, overrides); each run's kind is its stem with "-" for
 # "_".  The shipped configs use only real amplitudes and equal registers,
 # so these also run complex, unit-modulus, overshooting, unequal-register,
-# signed-zero, benchmark-size and other-route inputs.
+# signed-zero, benchmark-size and other-route inputs, and a commutator below
+# the dense route's rounding.  That one runs engine=dense: under engine=both
+# its NaN dense norms exit 4, and every run here must exit 0.
 VARIANTS = (
     ("complex", "measurement_sweep",
      "eta_re=0.36 eta_im=0.48 delta_re=0.3 delta_im=0.4 h_re=0.48 h_im=0.64 v_re=0.6"),
@@ -57,6 +59,7 @@ VARIANTS = (
      "reference=no_avalanche engine=dense eta_re=0.36 eta_im=0.48"),
     ("complex_families", "sector_commutator", "h_re=0.6 h_im=0 v_re=0 v_im=0.8 N=7"),
     ("structured", "sector_commutator", "engine=structured N=12"),
+    ("tiny_commutator", "sector_commutator", "h_re=1e-20 v_re=1 N=5 engine=dense"),
     ("seed7", "oracle_check", "seed=7"),
     ("seed_max", "oracle_check", "seed=2147483647"),
     ("oracle_overrides", "oracle_check",
