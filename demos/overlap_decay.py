@@ -16,7 +16,6 @@ import time
 from sectorsim import (
     AvalancheParams,
     dense_avalanche,
-    dense_no_avalanche_overlap,
     overlap_no_avalanche,
     structured_amplitude,
     structured_avalanche,
@@ -30,7 +29,7 @@ params = AvalancheParams(n_dopants=8, eta=0.6, n_max=3)
 print("n  M   structured     dense          closed form 0.8^n")
 for n in range(4):
     structured = overlap_no_avalanche(params, n)
-    dense = dense_no_avalanche_overlap(params, n)
+    dense = dense_avalanche(params, n).amps[1]  # seed excited, the rest ground
     print(f"{n}  {1 << n:<3d} {structured.real:<14.10f} {dense.real:<14.10f}"
           f" {0.8 ** n:<.10f}")
 

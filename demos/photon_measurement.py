@@ -16,7 +16,6 @@ from sectorsim import (
     PhotonPolarisation,
     density_terms,
     evolve,
-    sector_parameter_expectation,
     sector_parameter_sweep,
 )
 
@@ -92,8 +91,7 @@ big = MeasurementSetup(
     n_dopants_v=1 << 30,
     n_max=30,
 )
-rec = sector_parameter_expectation(big, 30, reference="no_avalanche",
-                                   compute_direct=False)
+rec = sector_parameter_sweep(big, reference="no_avalanche")[30]
 print(f"\nn = 30, M = {rec.m_electrons} electrons per register:")
 print("  formula:", rec.expectation_formula)
 print("  limit:  ", rec.limit)

@@ -12,8 +12,6 @@ configuration, 3 dimension guard exceeded, 4 engine disagreement,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -363,20 +361,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _render_csv(records: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(records[0].keys())
-    for record in records:
-        writer.writerow(_format_cell(v) for v in record.values())
-    return buffer.getvalue()
+    # every cell is a number or a package label (ok/fail, check names, H/V),
+    # none holding a comma, quote or line break, so no cell needs quoting
+    rows = [records[0].keys()] + [map(_format_cell, r.values()) for r in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _render_json(records: list[dict], cfg: ExperimentConfig) -> str:

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import get_type_hints
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -338,6 +339,54 @@ class TestRendering:
                                  "--out", path)
             assert code == 0
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+# every shipped config (the three dual-engine ones set engine=both), then
+# those kinds' defaults under engine=both and engine=structured
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CSV_RUNS = [(path.stem.replace("_", "-"), path, ()) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+CSV_RUNS += [(kind, None, (f"engine={engine}",))
+             for kind in ("avalanche-sweep", "measurement-sweep", "sector-commutator")
+             for engine in ("both", "structured")]
+
+
+class TestCsvCells:
+    """The CSV writer joins formatted cells with commas and quotes nothing,
+    which holds only while no cell carries a comma, quote or line break."""
+
+    @pytest.mark.parametrize("kind, config, sets", CSV_RUNS,
+                             ids=["-".join([kind, *sets]) for kind, _, sets in CSV_RUNS])
+    def test_csv_reads_back_as_the_formatted_record_values(self, capsys, kind, config, sets):
+        pairs = parse_config_file(str(config)) if config else {}
+        pairs.update(pair.split("=", 1) for pair in sets)
+        records, _ = run_experiment(build_config(kind, pairs))
+        argv = [kind, *(["--config", str(config)] if config else []),
+                *(arg for pair in sets for arg in ("--set", pair))]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        header = list(records[0])
+        assert all(list(record) == header for record in records)
+        values = [value for record in records for value in record.values()]
+        assert all(isinstance(value, (int, float, str)) for value in values)
+        rows = [[cli._format_cell(value) for value in record.values()] for record in records]
+        assert all(not set(cell) & set(',"\r\n') for row in [header, *rows] for cell in row)
+        assert list(csv.reader(io.StringIO(out, newline=""))) == [header, *rows]
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (5e-324, "4.9406564584124654e-324"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (25.0, "25"),
+        (2**64, "18446744073709551616"),
+        ("ok", "ok"),
+    ])
+    def test_format_cell(self, value, text):
+        assert cli._format_cell(value) == text
 
 
 class TestPrecedence:

@@ -72,3 +72,15 @@ def test_a_raising_run_is_recorded_with_its_message(tmp_path):
     codes = compare_records.run_tree(tmp_path / "src", tmp_path / "out",
                                      [("oracle_check.csv", ["oracle-check"])])
     assert codes == {"oracle_check.csv": "ValueError: boom"}
+
+
+def test_a_run_that_warns_is_recorded_as_the_warning(tmp_path):
+    package = tmp_path / "src" / "sectorsim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import warnings\n\n\ndef main(argv=None):\n"
+                                    "    warnings.warn('overflow', RuntimeWarning)\n"
+                                    "    return 0\n")
+    codes = compare_records.run_tree(tmp_path / "src", tmp_path / "out",
+                                     [("scales.csv", ["scales"])])
+    assert codes == {"scales.csv": "RuntimeWarning: overflow"}

@@ -14,8 +14,8 @@ The script prints every output file whose bytes differ between the two
 sides, and marks ``(config only)`` a JSON file whose ``records`` are the
 same on both sides.  It exits 1 if a file differs that no
 ``Records-changed:`` trailer in ``BASE_REV..HEAD`` declares, if a declared
-file does not differ, or if any run in either tree exits nonzero, and 0
-otherwise.
+file does not differ, or if any run in either tree exits nonzero or raises
+(a RuntimeWarning or DeprecationWarning counts as raising), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # so these also run complex, unit-modulus, overshooting, unequal-register,
 # signed-zero, benchmark-size and other-route inputs, and a commutator below
 # the dense route's rounding.  That one runs engine=dense: under engine=both
-# its NaN dense norms exit 4, and every run here must exit 0.
+# its NaN dense norms exit 4, and every run here must exit 0.  Each kind runs
+# at least twice; the qnd_demo and scales variants carry label cells, an
+# integer past 2**64 and e-notation floats.
 VARIANTS = (
     ("complex", "measurement_sweep",
      "eta_re=0.36 eta_im=0.48 delta_re=0.3 delta_im=0.4 h_re=0.48 h_im=0.64 v_re=0.6"),
@@ -73,7 +75,14 @@ VARIANTS = (
     ("dense_big", "measurement_sweep",
      "A_H=8 A_V=8 n_max=3 engine=both eta_re=-0.5 eta_im=-0.5 delta_re=0.7 "
      "delta_im=-0.2 h_re=0.6 h_im=-0.1 v_re=0.7937253933193772"),
+    ("complex_h", "qnd_demo", "h_re=0.6 h_im=0.48 v_re=0 v_im=0.64 shots=777 seed=3"),
+    ("big_register", "scales", "U=7.5 Delta=0.3 a=5.43e-10 A=123456789012345678901"),
 )
+
+# The child interpreter's warning filters, the same as CI's quick-start and
+# demo steps use: a run that warns is recorded as the exception the warning
+# raised, not as exit 0.
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
 
 # Runs the jobs read from stdin against the sectorsim found on PYTHONPATH,
 # one call of cli.main each, and prints every exit code, or the exception a
@@ -114,8 +123,9 @@ def run_tree(src: Path, out: Path, runs) -> dict[str, int | str]:
     package in ``src``; return each run's exit code."""
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    child = subprocess.run([sys.executable, "-c", CHILD, str(src), str(out)], cwd=ROOT, env=env,
-                           input=json.dumps(runs), stdout=subprocess.PIPE, text=True, check=True)
+    child = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, "-c", CHILD, str(src), str(out)],
+                           cwd=ROOT, env=env, input=json.dumps(runs), stdout=subprocess.PIPE,
+                           text=True, check=True)
     return json.loads(child.stdout)
 
 
