@@ -29,7 +29,7 @@ from .avalanche import (
     structured_amplitude,
     structured_avalanche,
 )
-from .hilbert import DenseState, DimensionLimitError
+from .hilbert import DimensionLimitError
 from .measurement import (
     REFERENCES,
     MeasurementSetup,
@@ -254,11 +254,14 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
         every_config = (np.arange(1 << n_dopants)[:, None] >> np.arange(n_dopants)) & 1
         deepest = min(3, n_dopants.bit_length() - 1)  # 2**n <= n_dopants
         for eta in (0.0, 0.3, 0.36 + 0.48j, 1.0):
-            # one dense cascade per register and eta, read at every generation
+            # one dense cascade per register and eta, read at every generation:
+            # all amplitudes, all-ground included, then the no-avalanche overlap
             params = AvalancheParams(n_dopants, eta, deepest)
             generations = cascade_generations(seeded_register(n_dopants), params.eta, (0,))
-            for n in range(deepest + 1):
-                errors += _cascade_errors(params, n, next(generations), every_config)
+            for n, dense in zip(range(deepest + 1), generations):
+                st = structured_avalanche(params, n)
+                errors.append(np.max(np.abs(dense.amps - structured_amplitude(st, every_config))))
+                errors.append(abs(overlap_no_avalanche(params, n) - complex(dense.amps[1])))
                 cases += len(every_config)
     records.append(_check_row("cascade_engines", cases, errors, 1e-12))
 
@@ -303,14 +306,6 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
     records.append(_check_row("measurement_pointer", len(rows),
                               [r["abs_diff"] for r in rows], 1e-10))
     return records
-
-
-def _cascade_errors(params: AvalancheParams, n: int, dense: DenseState,
-                    every_config: np.ndarray) -> list[float]:
-    """Generation n's amplitudes, all-ground included, and no-avalanche overlap vs dense."""
-    st = structured_avalanche(params, n)
-    return [np.max(np.abs(dense.amps - structured_amplitude(st, every_config))),
-            abs(overlap_no_avalanche(params, n) - complex(dense.amps[1]))]
 
 
 def _worst(errors: list[float]) -> float:
@@ -444,9 +439,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def console_main() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

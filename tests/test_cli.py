@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -694,3 +696,23 @@ def test_module_entry_point_runs():
     proc = subprocess.run(argv + ["bogus=1"], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("sets, code", [
+    (("n_max=1",), 0),
+    (("bogus=1",), 2),
+    (("A=11", "engine=dense"), 3),
+])
+def test_console_script_target_exits_with_mains_code(sets, code, capsys, monkeypatch):
+    # runs the [project.scripts] target as the installer's wrapper does, without an install
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^simulate = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    target = getattr(importlib.import_module(module), attr)
+    argv = ["simulate", "avalanche-sweep"] + [arg for item in sets for arg in ("--set", item)]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setenv("SECTORSIM_DIM_GUARD", "1024")
+    with pytest.raises(SystemExit) as exc:
+        sys.exit(target())
+    assert exc.value.code == code
+    if code == 0:
+        assert capsys.readouterr().out.startswith("n,M,overlap_re")

@@ -72,6 +72,9 @@ VARIANTS = (
     ("a17_complex", "avalanche_sweep", "A=17 eta_re=0.3 eta_im=-0.4 engine=both"),
     ("h_minus", "measurement_sweep",
      "h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 engine=dense delta_re=-0.0 delta_im=-1"),
+    ("h_minus_unequal", "measurement_sweep",
+     "A_H=3 A_V=5 n_max=1 h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 delta_re=-0.0 delta_im=-1 "
+     "eta_re=0.3 eta_im=-0.5 engine=both"),
     ("dense_big", "measurement_sweep",
      "A_H=8 A_V=8 n_max=3 engine=both eta_re=-0.5 eta_im=-0.5 delta_re=0.7 "
      "delta_im=-0.2 h_re=0.6 h_im=-0.1 v_re=0.7937253933193772"),
