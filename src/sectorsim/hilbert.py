@@ -27,16 +27,12 @@ Conventions used throughout the package:
   in a buffer and is written to its strided destination once.  The
   buffers of one tile hold at most ``_TILE_AMPS`` amplitudes (256 KiB),
   so a gate's scratch is a constant, whatever the state's size.
-* Only states built with ``DenseState(dims, amps)``, as callers and
-  ``tensor_product`` build them, are scanned for finiteness when built;
-  such a state keeps the caller's array, which the caller may still write.
-  Basis states, and so every register, and gate outputs are built without
-  a scan: their amplitude arrays are read-only, and each records an upper
-  bound on its sum of squares, 1 for a basis state and for a gate output
-  its input's bound times ``_gate_growth``.  A gate whose input carries a
-  bound of at most ``_TRUSTED_BOUND`` on a read-only array cannot
-  overflow, so it skips the scan of its output; a gate on any other input
-  scans its output and records the measured sum as the output's bound.
+* A caller's ``DenseState(dims, amps)`` holds the caller's array, which the
+  caller may still write, so it is scanned when built and has no bound.
+  Every state the package builds (basis states, so every register, tensor
+  products and gate outputs) comes from ``_owned`` with a read-only array
+  and an upper bound on its sum of squares: its inputs' trusted bounds grown,
+  or else a scan's (none if the sum overflows).
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -198,16 +194,27 @@ def _sum_of_squares(amps: np.ndarray) -> float:
     return total
 
 
-def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float | None) -> DenseState:
-    """State over ``amps``, an array the package just allocated for the
-    validated ``dims``, with no check: the array is made read-only, so
-    ``bound``, an upper bound on its sum of squares (or None), stays true."""
+def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float | None = None) -> DenseState:
+    """State over ``amps``, an array the package just allocated for the validated
+    ``dims``, made read-only so that ``bound``, an upper bound on its sum of squares,
+    stays true.  With none, ``amps`` is scanned: a dot product of m non-negative terms
+    is at least (1 - gamma_m) times the exact sum, gamma_m = m*u/(1 - m*u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), so the measured
+    sum, with room for its own rounding, is recorded unless it overflows."""
+    if bound is None:
+        total = _sum_of_squares(amps)
+        bound = total * (1 + (amps.size + 1) * 2.0**-51) if math.isfinite(total) else None
     amps.flags.writeable = False
     state = object.__new__(DenseState)
     object.__setattr__(state, "dims", dims)
     object.__setattr__(state, "amps", amps)
     object.__setattr__(state, "_bound", bound)
     return state
+
+
+def _trusted(state: DenseState) -> bool:
+    # a copy or an unpickled state can carry a bound on a writeable array
+    return state._bound is not None and not state.amps.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,11 @@ def basis_state(dims, labels) -> DenseState:
 
 def tensor_product(a: DenseState, b: DenseState) -> DenseState:
     """Concatenate site lists; ``a``'s sites come first (fastest-varying)."""
-    return DenseState(a.dims + b.dims, kron_sites((a.amps, b.amps), "tensor product"))
+    amps = kron_sites((a.amps, b.amps), "tensor product")
+    # each entry is one complex product, within sqrt(5)*u of exact (Brent, Percival
+    # and Zimmermann, Math. Comp. 76 (2007) 1469-1481); an overflowing bound is none
+    bound = a._bound * b._bound * (1 + 2.0**-49) if _trusted(a) and _trusted(b) else None
+    return _owned(a.dims + b.dims, amps, None if bound == math.inf else bound)
 
 
 def inner_product(a: DenseState, b: DenseState) -> complex:
@@ -299,9 +310,8 @@ def inner_product(a: DenseState, b: DenseState) -> complex:
 
 
 def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
-    """Apply a two-site unitary, leaving all other sites untouched, into a
-    new read-only state; its output is scanned only when ``state`` carries
-    no trusted bound."""
+    """Apply a two-site unitary, leaving all other sites untouched, into a new
+    read-only state, scanned only when ``state`` carries no trusted bound."""
     i, j = gate.sites
     n = state.n_sites
     if i >= n or j >= n:
@@ -358,17 +368,8 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
                 np.multiply(gathered[slot], c, out=tmp)
                 np.add(acc, tmp, out=acc)
             target[key] = acc
-    # a copy or an unpickled state can carry a bound on a writeable array
-    trusted = state._bound is not None and not state.amps.flags.writeable
-    if trusted and state._bound <= _TRUSTED_BOUND:
-        return _owned(dims, out, state._bound * _gate_growth(di * dj))
-    total = _sum_of_squares(out)
-    # a dot product of m non-negative terms is at least (1 - gamma_m) times
-    # the exact sum, gamma_m = m*u/(1 - m*u) (Higham, Accuracy and Stability
-    # of Numerical Algorithms, 2nd ed., sec. 3.1), so with room for its own
-    # rounding this is no less than the exact sum
-    return _owned(dims, out, total * (1 + (out.size + 1) * 2.0**-51)
-                  if math.isfinite(total) else None)
+    grown = _trusted(state) and state._bound <= _TRUSTED_BOUND
+    return _owned(dims, out, state._bound * _gate_growth(di * dj) if grown else None)
 
 
 def _gate_growth(size: int) -> float:

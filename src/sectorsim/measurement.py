@@ -59,6 +59,7 @@ from .hilbert import (
     DenseState,
     TwoSiteGate,
     _integral,
+    _owned,
     apply_two_site_gate,
     basis_state,
     check_guard,
@@ -186,7 +187,7 @@ class MeasurementRecord:
 
 
 def _photon_ket(pol: PhotonPolarisation) -> DenseState:
-    return DenseState((3,), np.array([0.0, pol.h, pol.v], dtype=np.complex128))
+    return _owned((3,), np.array([0.0, pol.h, pol.v], dtype=np.complex128))
 
 
 def initial_state(setup: MeasurementSetup) -> DenseState:
@@ -335,10 +336,8 @@ def qnd_premeasure(pol: PhotonPolarisation) -> DenseState:
     Both sites are two-level (H = 0, V = 1); site 0 is the photon, site 1
     the meter.  The Schmidt coefficients are (|h|, |v|).
     """
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = pol.h  # (H, H)
-    amps[3] = pol.v  # (V, V)
-    return DenseState((2, 2), amps)
+    # flat index 0 is (H, H) and 3 is (V, V)
+    return _owned((2, 2), np.array([pol.h, 0, 0, pol.v], dtype=np.complex128))
 
 
 def qnd_outcome(pol: PhotonPolarisation) -> QndOutcome:

@@ -279,8 +279,8 @@ def commutator_norm(family_a: ElementaryFamily, family_b: ElementaryFamily,
     sector products (against |0>, a family with |h| <= 1e-8 at each N
     in 2..6, and |1> from N = 5 on), so a comparison with the analytic
     route fails closed.  Uniform families converge within N + 1 steps; random
-    families with distinct sites may not: of 25 random qubit pairs per N,
-    1 gave NaN at N = 11 and 2 at N = 12 (none up to N = 10).
+    families with distinct sites may not: the README's table counts the NaN
+    norms of 25 random qubit pairs per N = 8..12 (seed 7).
     """
     if family_a.dims != family_b.dims:
         raise ValueError(

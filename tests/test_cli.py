@@ -21,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sectorsim import cli
-from sectorsim.hilbert import dimension_guard
+from sectorsim import cli, hilbert
+from sectorsim.hilbert import DenseState, dimension_guard
 from sectorsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -716,3 +716,30 @@ def test_console_script_target_exits_with_mains_code(sets, code, capsys, monkeyp
     assert exc.value.code == code
     if code == 0:
         assert capsys.readouterr().out.startswith("n,M,overlap_re")
+
+
+# the shipped runs, and the 8/8 dense measurement sweep whatever its config says
+TRUSTED_RUNS = [[path.stem.replace("_", "-"), "--config", str(path)] for path in
+                sorted(CONFIG_DIR.glob("*.cfg"))] + [
+    ["measurement-sweep", "--set", "A_H=8", "--set", "A_V=8", "--set", "n_max=3",
+     "--set", "engine=both"]]
+
+
+def test_no_run_validates_a_state_or_scans_a_joint_state(monkeypatch):
+    # every dense state a run builds is package-built, so none passes through
+    # DenseState's validation, and the 3 * 2**16-amplitude joint state of the
+    # 8/8 sweep is never scanned: only the photon ket is
+    original = DenseState.__post_init__
+    validated = []
+
+    def counting(self):
+        validated.append(self.dims)
+        original(self)
+
+    monkeypatch.setattr(DenseState, "__post_init__", counting)
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        for argv in TRUSTED_RUNS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+    assert validated == []
+    assert max(call.args[0].size for call in scan.call_args_list) == 3

@@ -1,5 +1,6 @@
 """Dense state plumbing: flat-index convention, products, gates, guard."""
 
+import cmath
 import copy
 import functools
 import math
@@ -21,6 +22,7 @@ from sectorsim.avalanche import (
     _rotation,
     cascade_generations,
     dense_avalanche,
+    ground_register,
     scattering_matrix,
     seeded_register,
 )
@@ -38,6 +40,14 @@ from sectorsim.hilbert import (
     inner_product,
     kron_sites,
     tensor_product,
+)
+from sectorsim.measurement import (
+    MeasurementSetup,
+    PhotonPolarisation,
+    _photon_ket,
+    initial_state,
+    photoexcite,
+    qnd_premeasure,
 )
 
 
@@ -691,3 +701,75 @@ def test_a_carried_cascade_validates_no_state(monkeypatch):
     amps = dense_avalanche(AvalancheParams(8, 0.6, 3), 3).amps
     with pytest.raises(ValueError, match="read-only"):
         amps[0] = 1.0
+
+
+def _polarisation(h, phase):
+    return PhotonPolarisation(h, cmath.rect(math.sqrt(max(0.0, 1.0 - abs(h) ** 2)), phase))
+
+
+@st.composite
+def package_built_states(draw):
+    """A state the package builds, of at most 16 amplitudes: a register, a
+    cascade generation, an edge gate's output or a photon ket."""
+    kind = draw(st.sampled_from(["register", "cascade", "edge", "photon"]))
+    if kind == "register":
+        return draw(st.sampled_from([ground_register, seeded_register]))(draw(st.integers(1, 4)))
+    if kind == "cascade":
+        n_dopants = draw(st.integers(2, 4))
+        n = draw(st.integers(1, n_dopants.bit_length() - 1))
+        return dense_avalanche(AvalancheParams(n_dopants, draw(UNIT_DISC), n), n)
+    if kind == "edge":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+        gate = TwoSiteGate((0, 1), _edge_unitary(6, rng))
+        return apply_two_site_gate(basis_state((2, 3), (1, 2)), gate)
+    return _photon_ket(_polarisation(draw(UNIT_DISC), draw(st.floats(-math.pi, math.pi))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(factors=st.lists(package_built_states(), min_size=2, max_size=3))
+def test_products_of_package_built_states_carry_a_bound_and_are_never_scanned(factors):
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        product = functools.reduce(tensor_product, factors)
+    assert scan.call_count == 0
+    assert product.dims == sum((f.dims for f in factors), ())
+    _assert_trusted(product)
+
+
+@pytest.mark.parametrize("duplicate", [lambda s: DenseState(s.dims, s.amps.copy()), copy.deepcopy])
+def test_a_product_with_a_callers_factor_is_scanned(duplicate):
+    # a caller's state, or a copy whose array is writeable again, lends no bound
+    state = duplicate(dense_avalanche(AvalancheParams(4, 0.6, 2), 2))
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        _assert_trusted(tensor_product(seeded_register(2), state))
+    assert [call.args[0].size for call in scan.call_args_list] == [64]
+    state.amps[3] = np.nan  # the state holds the caller's array itself
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        tensor_product(state, seeded_register(2))
+
+
+def test_a_product_whose_bound_overflows_is_scanned():
+    # each factor's bound is about 1e300, so their product's overflows; the
+    # output's sum of squares overflows too, so it records no bound
+    rng = np.random.default_rng(9)
+    big = apply_two_site_gate(DenseState((2, 2), random_state_vector(4, rng) * 1e150),
+                              TwoSiteGate((0, 1), scattering_matrix(0.6)))
+    _assert_trusted(big)
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        product = tensor_product(big, big)
+    assert scan.call_count == 1
+    assert not product.amps.flags.writeable and product._bound is None
+    assert np.all(np.isfinite(product.amps))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=UNIT_DISC, phase=st.floats(-math.pi, math.pi), a_h=st.integers(1, 4),
+       a_v=st.integers(1, 4), delta=UNIT_DISC)
+def test_measurement_states_carry_a_bound_and_absorption_scans_nothing(h, phase, a_h, a_v, delta):
+    pol = _polarisation(h, phase)
+    _assert_trusted(qnd_premeasure(pol))
+    setup = MeasurementSetup(pol, delta, 0.6, a_h, a_v, 0)
+    joint = initial_state(setup)
+    _assert_trusted(joint)
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        _assert_trusted(photoexcite(setup, joint))
+    assert scan.call_count == 0

@@ -33,10 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # (tag, config stem, overrides); each run's kind is its stem with "-" for
 # "_".  The shipped configs use only real amplitudes and equal registers,
 # so these also run complex, unit-modulus, overshooting, unequal-register,
-# signed-zero, benchmark-size and other-route inputs, and a commutator below
-# the dense route's rounding.  That one runs engine=dense: under engine=both
-# its NaN dense norms exit 4, and every run here must exit 0.  Each kind runs
-# at least twice; the qnd_demo and scales variants carry label cells, an
+# signed-zero, benchmark-size and other-route inputs, the deepest structured
+# fold the benchmark times (n_max = 64), and a commutator below the dense
+# route's rounding.  That one runs engine=dense: under engine=both its NaN
+# dense norms exit 4, and every run here must exit 0.  Each kind runs at
+# least twice; the qnd_demo and scales variants carry label cells, an
 # integer past 2**64 and e-notation floats.
 VARIANTS = (
     ("complex", "measurement_sweep",
@@ -70,6 +71,8 @@ VARIANTS = (
     ("eta_one_dense", "avalanche_sweep", "eta_re=1.0 engine=dense"),
     ("complex_both", "avalanche_sweep", "eta_re=0.3 eta_im=0.4 engine=both"),
     ("a17_complex", "avalanche_sweep", "A=17 eta_re=0.3 eta_im=-0.4 engine=both"),
+    ("deep_structured", "avalanche_sweep",
+     "A=18446744073709551616 n_max=64 eta_re=0.31 eta_im=-0.44 engine=structured"),
     ("h_minus", "measurement_sweep",
      "h_re=-0.6 h_im=-0.0 v_re=0 v_im=-0.8 engine=dense delta_re=-0.0 delta_im=-1"),
     ("h_minus_unequal", "measurement_sweep",
