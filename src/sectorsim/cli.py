@@ -308,13 +308,9 @@ def _run_oracle_check(cfg: ExperimentConfig) -> list[dict]:
     return records
 
 
-def _worst(errors: list[float]) -> float:
-    """Largest error, 0 for none; NaN if any is NaN, which max() would drop."""
-    return float(np.max(errors)) if errors else 0.0
-
-
 def _check_row(name: str, cases: int, errors: list[float], tol: float) -> dict:
-    worst = _worst(errors)
+    # np.max, unlike max(), returns NaN if any error is NaN, so the row fails
+    worst = float(np.max(errors)) if errors else 0.0
     return {
         "check": name,
         "cases": cases,
@@ -340,19 +336,20 @@ _RUNNERS = {
 KINDS = tuple(_RUNNERS)
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], float]:
-    """Produce the sweep's records and the worst engine disagreement.
+def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], dict | None]:
+    """Produce the sweep's records and the first that fails, or None.
 
-    The disagreement is the largest ``abs_diff`` (NaN if any row's is
-    NaN), and 0 when no row carries one; only ``engine=both`` adds that
-    column, and the oracle check never does.  A runner that
-    returns no records raises ``NoRecordsError``, which ``main`` lets
-    surface, so no output format reports it as success or as bad input.
+    A record fails if its ``status`` is "fail" (an oracle check) or its
+    ``abs_diff`` (an ``engine=both`` row) is NaN or above
+    ``DISAGREEMENT_TOL``.  A runner that returns no records raises
+    ``NoRecordsError``, which ``main`` lets surface, so no output format
+    reports it as success or as bad input.
     """
     records = _RUNNERS[cfg.kind](cfg)
     if not records:
         raise NoRecordsError(f"the {cfg.kind} runner returned no records")
-    return records, _worst([r["abs_diff"] for r in records if "abs_diff" in r])
+    return records, next((r for r in records if r.get("status") == "fail"
+                          or not r.get("abs_diff", 0.0) <= DISAGREEMENT_TOL), None)
 
 
 def _format_cell(value) -> str:
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
             pairs.update(parse_config_file(args.config))
         pairs.update(_split_pair(item, "--set", item) for item in args.set)
         cfg = build_config(args.kind, pairs)
-        records, disagreement = run_experiment(cfg)
+        records, failing = run_experiment(cfg)
     except DimensionLimitError as exc:
         print(f"dimension guard: {exc}", file=sys.stderr)
         return 3
@@ -426,15 +423,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 5
-    if cfg.kind == "oracle-check" and any(r["status"] == "fail" for r in records):
-        print("engine disagreement: one or more oracle checks failed", file=sys.stderr)
-        return 4
-    if not disagreement <= DISAGREEMENT_TOL:
-        print(
-            f"engine disagreement: max |difference| = {disagreement:.3e} "
-            f"exceeds {DISAGREEMENT_TOL:.1e}",
-            file=sys.stderr,
-        )
+    if failing:
+        cells = ", ".join(f"{k}={_format_cell(v)}" for k, v in failing.items())
+        print(f"engine disagreement: {cells}", file=sys.stderr)
         return 4
     return 0
 

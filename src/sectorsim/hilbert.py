@@ -6,11 +6,10 @@ Conventions used throughout the package:
   basis assignment (b_0, b_1, ..., b_{S-1}) lives at flat index
   sum_s b_s * prod_{s'<s} d_{s'}.
 * Amplitudes are complex double precision.
-* Site products, of state vectors or of per-site operators, are built by
-  ``kron_sites``, the one fold that puts site 0 fastest-varying.  It folds
-  with ``np.multiply.outer`` (a matrix factor's axes interleaved with the
-  running product's) in ``np.kron``'s association order, so each entry is
-  the same single product and the result equals ``np.kron``'s bit for bit.
+* Site products of state vectors are built by ``kron_sites``, the one fold
+  that puts site 0 fastest-varying.  It folds with ``np.multiply.outer`` in
+  ``np.kron``'s association order, so each entry is the same single product
+  and the result equals ``np.kron``'s bit for bit.
 * Two-site gates store their matrix in the product basis of the targeted
   pair with the first site of the pair fastest-varying, and must be
   unitary to within ``UNITARITY_TOL``.  Each distinct matrix, keyed on its
@@ -30,9 +29,10 @@ Conventions used throughout the package:
 * A caller's ``DenseState(dims, amps)`` holds the caller's array, which the
   caller may still write, so it is scanned when built and has no bound.
   Every state the package builds (basis states, so every register, tensor
-  products and gate outputs) comes from ``_owned`` with a read-only array
-  and an upper bound on its sum of squares: its inputs' trusted bounds grown,
-  or else a scan's (none if the sum overflows).
+  products, gate outputs, the photon ket and the QND state) comes from
+  ``_owned`` with a read-only array and an upper bound on its sum of
+  squares: its inputs' trusted bounds grown, or else a scan's (none if the
+  sum overflows).
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -113,19 +113,13 @@ def check_guard(sizes, what: str) -> int:
 
 
 def kron_sites(factors, what: str) -> np.ndarray:
-    """Kronecker product of one vector or one square matrix per site, site 0
-    fastest-varying, as a new array; ``what`` names the request in a guard refusal."""
+    """Kronecker product of one vector per site, site 0 fastest-varying, as a
+    new array; ``what`` names the request in a guard refusal."""
     check_guard((f.size for f in factors), f"{what} needs too many entries")
     # kron's second factor varies fastest, so fold from a copy of the last site
-    # down, the running product on the left as kron has it; a matrix product is
-    # written with row and column axes already interleaved, as kron does
-    def fold(acc, f):
-        if f.ndim == 1:
-            return np.multiply.outer(acc, f).ravel()
-        return np.multiply(acc[:, None, :, None], f[:, None, :]).reshape(
-            acc.shape[0] * f.shape[0], -1)
-
-    return functools.reduce(fold, reversed(factors[:-1]), factors[-1].copy())
+    # down, the running product on the left as kron has it
+    return functools.reduce(lambda acc, f: np.multiply.outer(acc, f).ravel(),
+                            reversed(factors[:-1]), factors[-1].copy())
 
 
 def _integral(value, what: str) -> int:

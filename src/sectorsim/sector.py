@@ -20,12 +20,14 @@ site-repeated families is max_alpha ||[P_alpha, P'_alpha]|| / N.
 The dense route checks that law without building an operator: it applies
 X to a flat vector by one contraction per site (``_apply_sector``) and
 finds the norm of the Hermitian i[X, X'] by Lanczos iteration on those
-products.  ``dense_sector_operator`` assembles X as a matrix, the
-small-N reference the tests hold the contraction to.
+products.  ``dense_sector_operator`` assembles X as a matrix from the
+Kronecker sum that defines it, the small-N reference the tests hold the
+contraction to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,11 +179,14 @@ def dense_action(terms: tuple[tuple[complex, ProductState], ...]) -> np.ndarray:
 
 def dense_sector_operator(family: ElementaryFamily) -> np.ndarray:
     """Assemble (1/N) sum_alpha |phi_a><phi_a| (x) identity as a dense matrix."""
+    check_guard((d * d for d in family.dims),
+                f"dense operator over {family.n_sites} sites needs too many entries")
     eyes = [np.eye(d, dtype=np.complex128) for d in family.dims]
-    what = f"dense operator over {family.n_sites} sites"
     total = 0
     for alpha, phi in enumerate(family.phi):
-        total += kron_sites(eyes[:alpha] + [np.outer(phi, phi.conj())] + eyes[alpha + 1:], what)
+        # kron's second factor varies fastest, so site 0 goes last
+        factors = eyes[:alpha] + [np.outer(phi, phi.conj())] + eyes[alpha + 1:]
+        total += functools.reduce(np.kron, reversed(factors))
     return total / family.n_sites
 
 

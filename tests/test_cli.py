@@ -467,6 +467,34 @@ class TestExitCodes:
             records = [r for r in records if r["check"] == "cascade_engines"]
         assert records and all(r[offending] is None for r in records)
 
+    @pytest.mark.parametrize("plant, argv, named", [
+        (("overlap_no_avalanche", lambda params, n, real=cli.overlap_no_avalanche:
+          complex("nan") if n == 2 else real(params, n)),
+         ("avalanche-sweep", "--set", "engine=both"), ("n", "2")),
+        # cascade_engines comes first and passes, so the record named is the
+        # first that fails, not the first
+        (("_apply_sector", lambda family, vec: np.full_like(vec, np.nan)),
+         ("oracle-check",), ("check", "sector_algebra")),
+        (None, ("measurement-sweep", "--set", "engine=both", "--set", "reference=no_avalanche",
+                "--set", "delta_re=0.5"), ("n", "0")),
+    ], ids=["nan_at_n2", "sector_algebra_nan", "no_avalanche"])
+    def test_disagreement_names_the_first_failing_record(self, capsys, monkeypatch, plant,
+                                                         argv, named):
+        if plant:
+            monkeypatch.setattr(cli, *plant)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        rows = list(csv.DictReader(out.splitlines()))
+        lines = [", ".join(f"{key}={cell}" for key, cell in row.items()) for row in rows]
+        # one stderr line, the named row's cells exactly as the CSV prints them
+        assert err.startswith("engine disagreement: ") and err.count("\n") == 1, err
+        at = lines.index(err[len("engine disagreement: "):-1])
+        key, value = named
+        assert rows[at][key] == value
+        assert all(row.get("status", "ok") == "ok"
+                   and float(row.get("abs_diff", 0)) <= cli.DISAGREEMENT_TOL
+                   for row in rows[:at])
+
     @pytest.mark.parametrize("argv", [
         ("avalanche-sweep", "--set", "eta_re=nan", "--set", "n_max=2"),
         ("measurement-sweep", "--set", "delta_re=nan"),

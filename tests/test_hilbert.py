@@ -5,8 +5,10 @@ import copy
 import functools
 import math
 import pickle
+import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -190,18 +192,16 @@ FOLD_PARTS = st.one_of(
 
 @st.composite
 def site_factors(draw):
-    """1 to 14 vectors, or square matrices, of site dimension 2 or 3; the
-    draw stops early once the product would pass 2**16 entries."""
-    matrix = draw(st.booleans())
+    """1 to 14 vectors of site dimension 2 or 3; the draw stops early once
+    the product would pass 2**16 entries."""
     factors = []
     entries = 1
     for _ in range(draw(st.integers(1, 14))):
         d = draw(st.sampled_from([2, 3]))
-        if entries * d ** (1 + matrix) > 1 << 16 and factors:
+        if entries * d > 1 << 16 and factors:
             break
-        entries *= d ** (1 + matrix)
-        shape = (d, d) if matrix else (d,)
-        factors.append(draw(hnp.arrays(np.complex128, shape,
+        entries *= d
+        factors.append(draw(hnp.arrays(np.complex128, (d,),
                                        elements=st.builds(complex, FOLD_PARTS, FOLD_PARTS))))
     return factors
 
@@ -759,6 +759,31 @@ def test_a_product_whose_bound_overflows_is_scanned():
     assert scan.call_count == 1
     assert not product.amps.flags.writeable and product._bound is None
     assert np.all(np.isfinite(product.amps))
+
+
+def _sum_of_squares_as_fraction(amps) -> Fraction:
+    """Sum of |amp|^2 with no rounding at all."""
+    return sum((Fraction(part) ** 2 for part in amps.view(np.float64).tolist()), Fraction(0))
+
+
+def _rounded_up(value: Fraction) -> float:
+    nearest = float(value)
+    return nearest if Fraction(nearest) >= value else math.nextafter(nearest, math.inf)
+
+
+def test_a_products_bound_covers_its_exact_sum_of_squares():
+    # each factor's bound is its exact sum rounded up, with no slack, so the
+    # product's bound holds only by the margin tensor_product grows it by
+    rng = random.Random(7)
+    for _ in range(300):
+        factors = []
+        for size in (4, 2):
+            amps = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                             for _ in range(size)])
+            factors.append(hilbert._owned((size,), amps,
+                                          _rounded_up(_sum_of_squares_as_fraction(amps))))
+        product = tensor_product(*factors)
+        assert Fraction(product._bound) >= _sum_of_squares_as_fraction(product.amps)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
