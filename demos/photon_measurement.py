@@ -5,8 +5,8 @@ A polarisation measurement, end to end
 A photon in superposition h|H> + v|V> meets a polarising splitter; each
 output port feeds a register of dopant electrons.  Absorption promotes a
 seed electron with amplitude delta, the seed ignites a doubling cascade,
-and the sector parameter of the joint register reads out which port
-fired.  The pointer expectation lands on |delta|^2 (|h|^2 - |v|^2) - the
+and the two-outcome pointer |H click><H click| - |V click><V click| over
+the cascaded registers reads out which port fired.  The pointer expectation lands on |delta|^2 (|h|^2 - |v|^2) - the
 classical readout - and the structured evaluation follows it to register
 sizes no dense vector could hold.
 """
@@ -57,7 +57,7 @@ print("cross terms:", terms["no_click_h_cross"], terms["no_click_v_cross"],
 # %%
 # The pointer expectation
 # -----------------------
-# The direct route sandwiches the sector parameter in the dense state;
+# The direct route sandwiches the pointer in the dense state;
 # the closed form needs only the two cascade overlaps.  Under the ground
 # reference they agree at every generation, already sitting on the limit
 # |delta|^2 (|h|^2 - |v|^2) = 0.25 * 0.4 = 0.1.

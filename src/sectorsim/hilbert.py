@@ -32,7 +32,8 @@ Conventions used throughout the package:
   products, gate outputs, the photon ket and the QND state) comes from
   ``_owned`` with a read-only array and an upper bound on its sum of
   squares: its inputs' trusted bounds grown, or else a scan's (none if the
-  sum overflows).
+  sum overflows).  A bound is trusted when it is finite and sits on a
+  read-only array, and ``_owned`` scans when the grown bound overflows.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -72,10 +73,6 @@ DEFAULT_DIM_GUARD = 1 << 26
 UNITARITY_TOL = 1e-12
 # amplitudes of one gate tile's buffers: 256 KiB, well inside a per-core L2
 _TILE_AMPS = 1 << 14
-# the largest sum of squares a gate trusts without scanning its output: every
-# amplitude is then at most 2**500, so no product or partial sum of a gate row
-# comes near the largest double, and nor does the output's bound
-_TRUSTED_BOUND = 2.0 ** 1000
 
 
 class DimensionLimitError(ValueError):
@@ -191,18 +188,19 @@ def _sum_of_squares(amps: np.ndarray) -> float:
 def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float | None = None) -> DenseState:
     """State over ``amps``, an array the package just allocated for the validated
     ``dims``, made read-only so that ``bound``, an upper bound on its sum of squares,
-    stays true.  With none, ``amps`` is scanned: a dot product of m non-negative terms
-    is at least (1 - gamma_m) times the exact sum, gamma_m = m*u/(1 - m*u) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1), so the measured
-    sum, with room for its own rounding, is recorded unless it overflows."""
-    if bound is None:
+    stays true.  With none, or an infinite one, ``amps`` is scanned: a dot product of
+    m non-negative terms is at least (1 - gamma_m) times the exact sum, gamma_m =
+    m*u/(1 - m*u) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1), so the measured sum, with room for its own rounding, is recorded
+    unless that overflows."""
+    if bound is None or math.isinf(bound):
         total = _sum_of_squares(amps)
-        bound = total * (1 + (amps.size + 1) * 2.0**-51) if math.isfinite(total) else None
+        bound = total * (1 + (amps.size + 1) * 2.0**-51)
     amps.flags.writeable = False
     state = object.__new__(DenseState)
     object.__setattr__(state, "dims", dims)
     object.__setattr__(state, "amps", amps)
-    object.__setattr__(state, "_bound", bound)
+    object.__setattr__(state, "_bound", bound if math.isfinite(bound) else None)
     return state
 
 
@@ -291,9 +289,9 @@ def tensor_product(a: DenseState, b: DenseState) -> DenseState:
     """Concatenate site lists; ``a``'s sites come first (fastest-varying)."""
     amps = kron_sites((a.amps, b.amps), "tensor product")
     # each entry is one complex product, within sqrt(5)*u of exact (Brent, Percival
-    # and Zimmermann, Math. Comp. 76 (2007) 1469-1481); an overflowing bound is none
+    # and Zimmermann, Math. Comp. 76 (2007) 1469-1481)
     bound = a._bound * b._bound * (1 + 2.0**-49) if _trusted(a) and _trusted(b) else None
-    return _owned(a.dims + b.dims, amps, None if bound == math.inf else bound)
+    return _owned(a.dims + b.dims, amps, bound)
 
 
 def inner_product(a: DenseState, b: DenseState) -> complex:
@@ -305,7 +303,8 @@ def inner_product(a: DenseState, b: DenseState) -> complex:
 
 def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
     """Apply a two-site unitary, leaving all other sites untouched, into a new
-    read-only state, scanned only when ``state`` carries no trusted bound."""
+    read-only state, scanned only when ``state`` carries no trusted bound or
+    that bound grown by the gate overflows."""
     i, j = gate.sites
     n = state.n_sites
     if i >= n or j >= n:
@@ -362,8 +361,7 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
                 np.multiply(gathered[slot], c, out=tmp)
                 np.add(acc, tmp, out=acc)
             target[key] = acc
-    grown = _trusted(state) and state._bound <= _TRUSTED_BOUND
-    return _owned(dims, out, state._bound * _gate_growth(di * dj) if grown else None)
+    return _owned(dims, out, state._bound * _gate_growth(di * dj) if _trusted(state) else None)
 
 
 def _gate_growth(size: int) -> float:

@@ -1,9 +1,13 @@
-"""Shared helpers: random unitaries, qubits, and dense reference oracles."""
+"""Shared helpers: random unitaries, qubits, a peak-memory probe, and dense
+reference oracles."""
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import tracemalloc
+import types
 
 import numpy as np
 from hypothesis import strategies as st
@@ -21,6 +25,19 @@ UNIT_DISC = st.one_of(
         lambda z: abs(z) <= 1.0),
     st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)),
 )
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations in the block; on a clean exit the yielded
+    namespace's ``peak`` holds the most bytes traced at once."""
+    traced = types.SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield traced
+        traced.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

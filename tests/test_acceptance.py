@@ -6,7 +6,6 @@ conftest.py prints one pass/fail line per criterion at the end of the run.
 
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from sectorsim.sector import (
     sector_expectation,
 )
 
-from conftest import random_qubit
+from conftest import random_qubit, traced_peak
 
 UNIT_ETA = (0.6 + 0.64j) / abs(0.6 + 0.64j)
 ETA_GRID = (0.0, 0.3, 0.6, UNIT_ETA)
@@ -243,20 +242,18 @@ def test_criterion_8_large_depth_performance():
                              delta=0.5, eta=0.6,
                              n_dopants_h=1 << depth, n_dopants_v=1 << depth,
                              n_max=depth)
-    tracemalloc.start()
-    start = time.perf_counter()
-    overlap = overlap_no_avalanche(params, depth)
-    rec_ground = sector_parameter_expectation(setup, depth,
-                                              reference="ground",
-                                              compute_direct=False)
-    rec_alt = sector_parameter_expectation(setup, depth,
-                                           reference="no_avalanche",
-                                           compute_direct=False)
-    elapsed = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    with traced_peak() as traced:
+        start = time.perf_counter()
+        overlap = overlap_no_avalanche(params, depth)
+        rec_ground = sector_parameter_expectation(setup, depth,
+                                                  reference="ground",
+                                                  compute_direct=False)
+        rec_alt = sector_parameter_expectation(setup, depth,
+                                               reference="no_avalanche",
+                                               compute_direct=False)
+        elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"depth-30 evaluation took {elapsed:.3f}s"
-    assert peak < 8 * 1024 * 1024, f"depth-30 evaluation peaked at {peak} bytes"
+    assert traced.peak < 8 * 1024 * 1024, f"depth-30 evaluation peaked at {traced.peak} bytes"
     assert abs(overlap - 0.8 ** depth) <= 1e-12
     assert abs(rec_ground.expectation_formula - 0.25 * 0.4) <= 1e-12
     assert abs(rec_alt.expectation_formula

@@ -3,7 +3,6 @@
 import cmath
 import math
 import time
-import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ETA_GRID, UNIT_DISC, UNIT_PHASE
+from conftest import ETA_GRID, UNIT_DISC, UNIT_PHASE, traced_peak
 from sectorsim.avalanche import (
     AvalancheParams,
     StructuredAvalancheState,
@@ -174,13 +173,9 @@ class TestZBlockPartition:
     def test_partition_is_o_n_at_any_depth(self):
         # a partition of 2**20 electrons fits in a few hundred bytes per level
         deep = AvalancheParams(1 << 20, 0.6, 20)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             structured_avalanche(deep, 20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024, f"n = 20 partition peaked at {peak} bytes"
+        assert traced.peak < 64 * 1024, f"n = 20 partition peaked at {traced.peak} bytes"
         deepest = AvalancheParams(1 << 60, 0.6, 60)
         timings = []
         for _ in range(5):
@@ -203,13 +198,9 @@ class TestZBlockPartition:
         assert [f.name for f in fields(StructuredAvalancheState)] == ["params", "generation"]
         # the partition is built on read, and a read at n = 20 stays O(n)
         deep = structured_avalanche(AvalancheParams(1 << 20, 0.6, 20), 20)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert len(deep.partition.levels) == 21
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024, f"n = 20 partition read peaked at {peak} bytes"
+        assert traced.peak < 64 * 1024, f"n = 20 partition read peaked at {traced.peak} bytes"
         for n_dopants in (1, 5, 8, (1 << 20) + 3):
             params = AvalancheParams(n_dopants, 0.6, n_dopants.bit_length() - 1)
             for n in range(params.n_max + 1):
@@ -315,13 +306,10 @@ class TestStructuredFoldBits:
         state = structured_avalanche(params, n)
         row = np.eye(1, params.n_dopants, dtype=np.uint8)[0]
         want = broadcast_ones_fold(params, n, row[None, :])
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             got = structured_amplitude(state, row)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * row.nbytes, f"peaked at {peak} bytes for {row.nbytes} label bytes"
+        assert traced.peak < 3 * row.nbytes, (
+            f"peaked at {traced.peak} bytes for {row.nbytes} label bytes")
         assert np.array_equal(np.array([got]).view(np.uint64), want.view(np.uint64))
         closed = (1.0 - abs(eta) ** 2) ** (n / 2)
         assert abs(got - closed) <= 1e-12 * closed

@@ -6,7 +6,6 @@ import cmath
 import dataclasses
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNIT_DISC
+from conftest import UNIT_DISC, traced_peak
 from sectorsim import avalanche, hilbert
 from sectorsim.avalanche import (
     AvalancheParams,
@@ -122,12 +121,9 @@ def test_sweep_sandwich_matches_a_gate_by_gate_rebuild(a_h, a_v, eta, delta, pol
 
 def peak_bytes(call):
     call()  # warm caches, so only the call's own arrays are traced
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced.peak
 
 
 def test_sweep_holds_no_more_than_one_generation():

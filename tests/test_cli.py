@@ -626,7 +626,7 @@ def _config_built_by(argv):
 
     def record(cfg):
         built.append(repr(cfg))
-        return [{"status": "ok"}], 0.0
+        return [{"status": "ok"}], None
 
     with (mock.patch.object(cli, "run_experiment", record),
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):

@@ -12,7 +12,6 @@ import io
 import json
 import math
 import os
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sectorsim.avalanche import (
     ETA_TOL,
     AvalancheParams,
@@ -246,14 +246,9 @@ OVERSIZED = {
 def test_oversized_dense_request_refused_before_allocating(name, monkeypatch):
     monkeypatch.setenv("SECTORSIM_DIM_GUARD", "1024")
     call = OVERSIZED[name]()
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionLimitError, match="guard is 1024"):
-            call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    with traced_peak() as traced, pytest.raises(DimensionLimitError, match="guard is 1024"):
+        call()
+    assert traced.peak < 1 << 20
 
 
 # each would overflow double precision inside the check meant to reject it
@@ -295,28 +290,19 @@ def test_depth_bound_is_checked_without_building_two_to_the_depth(n_dopants, n_m
               lambda: MeasurementSetup(PhotonPolarisation(1.0, 0.0), 1.0, 0.6,
                                        n_dopants, n_dopants, n_max))
     for build in builds:
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="register only has"):
-                build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 10
+        with traced_peak() as traced, pytest.raises(ValueError, match="register only has"):
+            build()
+        assert traced.peak < 64 << 10
 
 
 def test_generation_pairs_refuses_a_depth_past_the_guard_before_building():
     # 10**22 first: a build without the bound fails on it at once, before
     # n = 40 could try to list 2**39 pairs
     for n in (10**22, 40):
-        tracemalloc.start()
-        try:
-            with pytest.raises(DimensionLimitError, match=f"generation {n} fires"):
-                generation_pairs(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 10
+        with (traced_peak() as traced,
+              pytest.raises(DimensionLimitError, match=f"generation {n} fires")):
+            generation_pairs(n)
+        assert traced.peak < 64 << 10
 
 
 def test_generation_pairs_admits_no_list_larger_than_the_guard_in_amplitudes(monkeypatch):
@@ -329,13 +315,9 @@ def test_generation_pairs_admits_no_list_larger_than_the_guard_in_amplitudes(mon
         except DimensionLimitError:
             break
         deepest += 1
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         generation_pairs(deepest)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * guard, (deepest, peak)
+    assert traced.peak < 16 * guard, (deepest, traced.peak)
     with pytest.raises(DimensionLimitError, match=f"generation {deepest + 1} fires"):
         generation_pairs(deepest + 1)
 

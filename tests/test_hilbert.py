@@ -6,18 +6,24 @@ import functools
 import math
 import pickle
 import random
-import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ETA_GRID, UNIT_DISC, embedded_gate_matrix, haar_unitary, random_state_vector
+from conftest import (
+    ETA_GRID,
+    UNIT_DISC,
+    embedded_gate_matrix,
+    haar_unitary,
+    random_state_vector,
+    traced_peak,
+)
 from sectorsim import hilbert
 from sectorsim.avalanche import (
     AvalancheParams,
@@ -30,7 +36,6 @@ from sectorsim.avalanche import (
 )
 from sectorsim.hilbert import (
     _TILE_AMPS,
-    _TRUSTED_BOUND,
     UNITARITY_TOL,
     DenseState,
     DimensionLimitError,
@@ -562,13 +567,9 @@ def test_gate_scratch_is_bounded_by_a_constant(dims, pair):
                 else haar_unitary(dims[i] * dims[j], rng))
     state = DenseState(dims, random_state_vector(math.prod(dims), rng))
     gate = TwoSiteGate(pair, gate_mat)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         out = apply_two_site_gate(state, gate)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - out.amps.nbytes <= 16 * _TILE_AMPS + 64 * 1024
+    assert traced.peak - out.amps.nbytes <= 16 * _TILE_AMPS + 64 * 1024
 
 
 # -- package-built states carry a bound; caller-built states are scanned ------
@@ -591,7 +592,7 @@ def _edge_unitary(size, rng):
 def _assert_trusted(state):
     assert not state.amps.flags.writeable
     assert np.all(np.isfinite(state.amps))
-    assert state._bound is not None and state._bound >= _sum_of_squares_exact(state)
+    assert math.isfinite(state._bound) and state._bound >= _sum_of_squares_exact(state)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -643,7 +644,7 @@ def test_the_bound_covers_gershgorins_worst_case():
 @pytest.mark.parametrize("scale, scans", [
     (1.0, 1),  # the first output is scanned and carries its measured bound
     (1e200, 4),  # the sum of squares overflows, so no output carries a bound
-    (2.0 ** 501, 4),  # every output's bound passes _TRUSTED_BOUND
+    (2.0 ** 501, 1),  # a bound past 2**1000 is finite, so it is trusted too
 ])
 def test_caller_states_are_scanned_until_a_bound_is_trusted(scale, scans):
     rng = np.random.default_rng(3)
@@ -656,7 +657,44 @@ def test_caller_states_are_scanned_until_a_bound_is_trusted(scale, scans):
             assert not state.amps.flags.writeable
     assert scan.call_count == scans
     if scale == 2.0 ** 501:
-        assert _TRUSTED_BOUND < _sum_of_squares_exact(state) <= state._bound
+        assert 2.0 ** 1000 < _sum_of_squares_exact(state) <= state._bound
+
+
+# every ordered pair of sites of (2, 3, 2), once each
+ALL_PAIRS = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31), k=st.integers(0, 511),
+       chain=st.lists(st.sampled_from(ALL_PAIRS), min_size=1, max_size=6))
+@example(seed=3, k=500, chain=ALL_PAIRS)
+@example(seed=3, k=505, chain=ALL_PAIRS)
+@example(seed=3, k=511, chain=ALL_PAIRS)
+def test_a_finite_bound_at_any_scale_spares_every_later_scan(seed, k, chain):
+    # a sum of squares up to 2**1022 keeps every amplitude below 2**511, so
+    # edge gates grow each output's bound and scan nothing after the first
+    rng = np.random.default_rng(seed)
+    state = DenseState((2, 3, 2), random_state_vector(12, rng) * 2.0 ** k)
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        for i, j in chain:
+            gate = TwoSiteGate((i, j), _edge_unitary(state.dims[i] * state.dims[j], rng))
+            state = apply_two_site_gate(state, gate)
+            _assert_trusted(state)
+    assert scan.call_count == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: apply_two_site_gate(s, TwoSiteGate((0, 1), np.eye(4))),
+    lambda s: tensor_product(basis_state((2,), (0,)), s),
+], ids=["gate", "tensor_product"])
+def test_a_scanned_sum_at_the_largest_double_records_no_bound(build):
+    # the sum of squares is finite, but the scan's rounding margin on top of
+    # it overflows, and an infinite bound is no bound
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[0] = math.sqrt(np.finfo(np.float64).max)
+    out = build(DenseState((2, 2), amps))
+    assert math.isfinite(_sum_of_squares_exact(out))
+    assert not out.amps.flags.writeable and out._bound is None
 
 
 def test_a_gate_that_overflows_a_caller_state_fails_closed():
