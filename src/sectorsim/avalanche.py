@@ -361,7 +361,7 @@ def structured_amplitude(state: StructuredAvalancheState, labels):
         bits = bits.view(f"u{bits.itemsize}")
         valid = bits.max(initial=0) <= 1
     else:
-        valid = np.all((bits == 0) | (bits == 1))
+        valid = bits.dtype.kind != "c" and np.all((bits == 0) | (bits == 1))
     if not valid:
         raise ValueError("electron labels must be 0 (ground) or 1 (excited)")
     batch = bits.reshape(-1, params.n_dopants).astype(np.uint8, copy=False)

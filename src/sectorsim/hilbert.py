@@ -26,14 +26,14 @@ Conventions used throughout the package:
   in a buffer and is written to its strided destination once.  The
   buffers of one tile hold at most ``_TILE_AMPS`` amplitudes (256 KiB),
   so a gate's scratch is a constant, whatever the state's size.
-* A caller's ``DenseState(dims, amps)`` holds the caller's array, which the
-  caller may still write, so it is scanned when built and has no bound.
-  Every state the package builds (basis states, so every register, tensor
+* Every ``DenseState`` holds a read-only array that no caller holds and a
+  float upper bound on its sum of squares, ``inf`` when unknown.  A
+  caller's ``DenseState(dims, amps)`` copies ``amps`` and scans the copy;
+  a copy or an unpickled state is rebuilt through that constructor.  Every
+  state the package builds (basis states, so every register, tensor
   products, gate outputs, the photon ket and the QND state) comes from
-  ``_owned`` with a read-only array and an upper bound on its sum of
-  squares: its inputs' trusted bounds grown, or else a scan's (none if the
-  sum overflows).  A bound is trusted when it is finite and sits on a
-  read-only array, and ``_owned`` scans when the grown bound overflows.
+  ``_owned``, which takes its inputs' bounds grown and scans only when the
+  grown bound is not finite.
 
 Dense objects are capped at ``dimension_guard()`` amplitudes (2**26 by
 default).  The ``SECTORSIM_DIM_GUARD`` environment variable is the one
@@ -144,24 +144,25 @@ def _checked_dims(dims) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class DenseState:
-    """Flat complex amplitude vector plus the ordered site dimensions."""
+    """Flat complex amplitude vector plus the ordered site dimensions: keeps a
+    read-only copy of ``amps``, which no later write to the caller's array
+    reaches, and the bound on its sum of squares that ``_owned`` records."""
 
     dims: tuple[int, ...]
     amps: np.ndarray
 
-    # upper bound on sum |amp|^2, recorded only by _owned; None means unknown
-    _bound = None
-
     def __post_init__(self):
         dims, size = _checked_dims(self.dims)
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (size,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, dims {dims} need ({size},)"
             )
-        _sum_of_squares(amps)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amps", amps)
+        _owned(dims, amps, state=self)
+
+    def __reduce__(self):
+        # a copy or an unpickled state is rebuilt, so it is sealed and scanned too
+        return DenseState, (self.dims, self.amps)
 
     @property
     def n_sites(self) -> int:
@@ -185,28 +186,25 @@ def _sum_of_squares(amps: np.ndarray) -> float:
     return total
 
 
-def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float | None = None) -> DenseState:
-    """State over ``amps``, an array the package just allocated for the validated
-    ``dims``, made read-only so that ``bound``, an upper bound on its sum of squares,
-    stays true.  With none, or an infinite one, ``amps`` is scanned: a dot product of
-    m non-negative terms is at least (1 - gamma_m) times the exact sum, gamma_m =
-    m*u/(1 - m*u) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    sec. 3.1), so the measured sum, with room for its own rounding, is recorded
-    unless that overflows."""
-    if bound is None or math.isinf(bound):
-        total = _sum_of_squares(amps)
-        bound = total * (1 + (amps.size + 1) * 2.0**-51)
-    amps.flags.writeable = False
-    state = object.__new__(DenseState)
+def _owned(dims: tuple[int, ...], amps: np.ndarray, bound: float = math.inf,
+           state: DenseState | None = None) -> DenseState:
+    """``state``, or a new state, over ``amps``, an array the package just allocated
+    for the validated ``dims``, made read-only so that ``bound``, an upper bound on
+    its sum of squares, stays true.  ``inf`` means unknown: unless ``bound`` is
+    finite, ``amps`` is scanned.  A dot product of m non-negative terms is at least
+    (1 - gamma_m) times the exact sum, gamma_m = m*u/(1 - m*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.1), so the measured sum, with
+    room for its own rounding, is recorded, and is ``inf`` if that overflows."""
+    if not math.isfinite(bound):
+        bound = _sum_of_squares(amps) * (1 + (amps.size + 1) * 2.0**-51)
+    # the state holds a view of a read-only array, which numpy will not make
+    # writeable again; a product's array reshapes an outer product, sealed too
+    (amps if amps.base is None else amps.base).flags.writeable = amps.flags.writeable = False
+    state = object.__new__(DenseState) if state is None else state
     object.__setattr__(state, "dims", dims)
-    object.__setattr__(state, "amps", amps)
-    object.__setattr__(state, "_bound", bound if math.isfinite(bound) else None)
+    object.__setattr__(state, "amps", amps.view())
+    object.__setattr__(state, "_bound", bound)
     return state
-
-
-def _trusted(state: DenseState) -> bool:
-    # a copy or an unpickled state can carry a bound on a writeable array
-    return state._bound is not None and not state.amps.flags.writeable
 
 
 @dataclass(frozen=True)
@@ -290,8 +288,7 @@ def tensor_product(a: DenseState, b: DenseState) -> DenseState:
     amps = kron_sites((a.amps, b.amps), "tensor product")
     # each entry is one complex product, within sqrt(5)*u of exact (Brent, Percival
     # and Zimmermann, Math. Comp. 76 (2007) 1469-1481)
-    bound = a._bound * b._bound * (1 + 2.0**-49) if _trusted(a) and _trusted(b) else None
-    return _owned(a.dims + b.dims, amps, bound)
+    return _owned(a.dims + b.dims, amps, a._bound * b._bound * (1 + 2.0**-49))
 
 
 def inner_product(a: DenseState, b: DenseState) -> complex:
@@ -303,8 +300,8 @@ def inner_product(a: DenseState, b: DenseState) -> complex:
 
 def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
     """Apply a two-site unitary, leaving all other sites untouched, into a new
-    read-only state, scanned only when ``state`` carries no trusted bound or
-    that bound grown by the gate overflows."""
+    read-only state, scanned only when ``state``'s bound grown by the gate is
+    not finite."""
     i, j = gate.sites
     n = state.n_sites
     if i >= n or j >= n:
@@ -361,7 +358,7 @@ def apply_two_site_gate(state: DenseState, gate: TwoSiteGate) -> DenseState:
                 np.multiply(gathered[slot], c, out=tmp)
                 np.add(acc, tmp, out=acc)
             target[key] = acc
-    return _owned(dims, out, state._bound * _gate_growth(di * dj) if _trusted(state) else None)
+    return _owned(dims, out, state._bound * _gate_growth(di * dj))
 
 
 def _gate_growth(size: int) -> float:

@@ -66,7 +66,8 @@ _LANCZOS_SEED = 20241216
 def _checked_site_vectors(vectors, what: str) -> tuple[np.ndarray, ...]:
     out = []
     for idx, vec in enumerate(vectors):
-        arr = np.ascontiguousarray(vec, dtype=np.complex128)
+        arr = np.array(vec, dtype=np.complex128)  # a copy, so no caller's write reaches it
+        arr.flags.writeable = False
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"{what}[{idx}] must be a vector of dimension >= 2")
         drift = abs(np.linalg.norm(arr) - 1.0)

@@ -1,5 +1,5 @@
-"""Shared helpers: random unitaries, qubits, a peak-memory probe, and dense
-reference oracles."""
+"""Shared helpers: random unitaries, qubits, a peak-memory probe, a scan
+counter, and dense reference oracles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,12 @@ import contextlib
 import math
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
+
+from sectorsim import hilbert
 
 # collision amplitudes: zero, real, a unit-modulus complex point, full transfer
 UNIT_PHASE = (0.6 + 0.2j) / abs(0.6 + 0.2j)
@@ -38,6 +41,14 @@ def traced_peak():
         traced.peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def counted_scans():
+    """Count the finiteness scans in the block: yields the mock that wraps
+    ``hilbert._sum_of_squares``."""
+    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+        yield scan
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -394,6 +394,18 @@ class TestStructuredAmplitude:
         with pytest.raises(ValueError):
             structured_amplitude(st, [0, 1])
 
+    @pytest.mark.parametrize("labels", [[1 + 0j, 0, 0, 0],
+                                        np.array([[1, 0, 0, 0]], dtype=np.complex64)])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_complex_labels_are_refused_like_any_other_non_label(self, labels, action):
+        # with warnings as errors or ignored, a complex label raises the
+        # documented error rather than a ComplexWarning or a value
+        st = structured_avalanche(AvalancheParams(4, 0.6, 1), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=r"must be 0 \(ground\) or 1 \(excited\)"):
+                structured_amplitude(st, labels)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(eta=UNIT_DISC, case=label_batches(),
            dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.bool_, np.float64]),

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sectorsim import cli, hilbert
+from conftest import counted_scans
+from sectorsim import cli
 from sectorsim.hilbert import DenseState, dimension_guard
 from sectorsim.cli import (
     ConfigError,
@@ -765,7 +766,7 @@ def test_no_run_validates_a_state_or_scans_a_joint_state(monkeypatch):
         original(self)
 
     monkeypatch.setattr(DenseState, "__post_init__", counting)
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
         for argv in TRUSTED_RUNS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv

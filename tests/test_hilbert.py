@@ -8,7 +8,6 @@ import pickle
 import random
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     ETA_GRID,
     UNIT_DISC,
+    counted_scans,
     embedded_gate_matrix,
     haar_unitary,
     random_state_vector,
@@ -611,7 +611,7 @@ def test_package_built_chains_carry_a_bound_and_are_never_scanned(seed, dims, da
     labels = [data.draw(st.integers(0, d - 1), label="label") for d in dims]
     state = basis_state(tuple(dims), labels)
     _assert_trusted(state)
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
         for _ in range(data.draw(st.integers(1, 12), label="gates")):
             i, j = data.draw(st.sampled_from(pairs), label="pair")
             kind = data.draw(st.sampled_from(["collision", "absorption", "edge"]), label="kind")
@@ -642,22 +642,51 @@ def test_the_bound_covers_gershgorins_worst_case():
 
 
 @pytest.mark.parametrize("scale, scans", [
-    (1.0, 1),  # the first output is scanned and carries its measured bound
-    (1e200, 4),  # the sum of squares overflows, so no output carries a bound
+    (1.0, 1),  # the construction is scanned and records its measured bound
+    (1e200, 5),  # the sum of squares overflows, so the construction and each gate scan
     (2.0 ** 501, 1),  # a bound past 2**1000 is finite, so it is trusted too
 ])
 def test_caller_states_are_scanned_until_a_bound_is_trusted(scale, scans):
     rng = np.random.default_rng(3)
-    state = DenseState((2, 3, 2), random_state_vector(12, rng) * scale)
-    assert state._bound is None
+    amps = random_state_vector(12, rng) * scale
     gate = TwoSiteGate((2, 1), haar_unitary(6, rng))
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
+        state = DenseState((2, 3, 2), amps)
         for _ in range(4):
             state = apply_two_site_gate(state, gate)
             assert not state.amps.flags.writeable
     assert scan.call_count == scans
+    if scale == 1e200:
+        assert math.isinf(state._bound)
+    else:
+        _assert_trusted(state)
     if scale == 2.0 ** 501:
         assert 2.0 ** 1000 < _sum_of_squares_exact(state) <= state._bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2 ** 31),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3, 2)]),
+    scale=st.floats(1e-150, 1e150),
+    written=st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+    data=st.data(),
+)
+def test_a_callers_state_is_sealed_against_later_writes(seed, dims, scale, written, data):
+    # the state copies the caller's array when built, so a later write into
+    # that array, finite or not, leaves its bytes and its bound true
+    rng = np.random.default_rng(seed)
+    amps = random_state_vector(math.prod(dims), rng) * scale
+    before = amps.tobytes()
+    state = DenseState(dims, amps)
+    amps.view(np.float64)[data.draw(st.integers(0, 2 * amps.size - 1), label="position")] = written
+    assert state.amps.tobytes() == before
+    _assert_trusted(state)
+    with counted_scans() as scan:
+        apply_two_site_gate(state, TwoSiteGate((0, 1), haar_unitary(dims[0] * dims[1], rng)))
+    assert scan.call_count == 0
+    with pytest.raises(ValueError):
+        state.amps.flags.writeable = True
 
 
 # every ordered pair of sites of (2, 3, 2), once each
@@ -672,10 +701,10 @@ ALL_PAIRS = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
 @example(seed=3, k=511, chain=ALL_PAIRS)
 def test_a_finite_bound_at_any_scale_spares_every_later_scan(seed, k, chain):
     # a sum of squares up to 2**1022 keeps every amplitude below 2**511, so
-    # edge gates grow each output's bound and scan nothing after the first
+    # edge gates grow each output's bound and scan nothing after the construction
     rng = np.random.default_rng(seed)
-    state = DenseState((2, 3, 2), random_state_vector(12, rng) * 2.0 ** k)
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
+        state = DenseState((2, 3, 2), random_state_vector(12, rng) * 2.0 ** k)
         for i, j in chain:
             gate = TwoSiteGate((i, j), _edge_unitary(state.dims[i] * state.dims[j], rng))
             state = apply_two_site_gate(state, gate)
@@ -694,7 +723,7 @@ def test_a_scanned_sum_at_the_largest_double_records_no_bound(build):
     amps[0] = math.sqrt(np.finfo(np.float64).max)
     out = build(DenseState((2, 2), amps))
     assert math.isfinite(_sum_of_squares_exact(out))
-    assert not out.amps.flags.writeable and out._bound is None
+    assert not out.amps.flags.writeable and math.isinf(out._bound)
 
 
 def test_a_gate_that_overflows_a_caller_state_fails_closed():
@@ -707,20 +736,31 @@ def test_a_gate_that_overflows_a_caller_state_fails_closed():
 
 
 def test_nan_written_into_a_callers_array_is_caught_by_the_next_gate():
+    # the state keeps its own copy, so no later write into the caller's
+    # array, NaN or finite, reaches it or the next gate's output
     amps = random_state_vector(8, np.random.default_rng(5))
-    state = DenseState((2, 2, 2), amps)
-    amps[5] = np.nan  # the state holds the caller's array itself
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        apply_two_site_gate(state, TwoSiteGate((0, 2), scattering_matrix(0.6)))
+    state, twin = DenseState((2, 2, 2), amps), DenseState((2, 2, 2), amps.copy())
+    gate = TwoSiteGate((0, 2), scattering_matrix(0.6))
+    want = apply_two_site_gate(twin, gate).amps.tobytes()
+    for value in (np.nan, 0.5):
+        amps[5] = value
+        assert apply_two_site_gate(state, gate).amps.tobytes() == want
 
 
 @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
 def test_a_copied_state_on_a_writeable_array_is_scanned(duplicate):
-    state = duplicate(dense_avalanche(AvalancheParams(4, 0.6, 2), 2))
-    assert state.amps.flags.writeable and state._bound is not None
-    state.amps[3] = np.nan
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        apply_two_site_gate(state, TwoSiteGate((0, 1), scattering_matrix(0.6)))
+    # a copy or an unpickled state is rebuilt through the constructor, so it
+    # holds a sealed array of the same bytes and a bound its one scan measured
+    state = dense_avalanche(AvalancheParams(4, 0.6, 2), 2)
+    with counted_scans() as scan:
+        copied = duplicate(state)
+    assert scan.call_count == 1
+    assert copied.amps.tobytes() == state.amps.tobytes()
+    _assert_trusted(copied)
+    with pytest.raises(ValueError, match="read-only"):
+        copied.amps[3] = np.nan
+    with pytest.raises(ValueError):
+        copied.amps.flags.writeable = True
 
 
 def test_a_carried_cascade_validates_no_state(monkeypatch):
@@ -766,7 +806,7 @@ def package_built_states(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(factors=st.lists(package_built_states(), min_size=2, max_size=3))
 def test_products_of_package_built_states_carry_a_bound_and_are_never_scanned(factors):
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
         product = functools.reduce(tensor_product, factors)
     assert scan.call_count == 0
     assert product.dims == sum((f.dims for f in factors), ())
@@ -775,14 +815,18 @@ def test_products_of_package_built_states_carry_a_bound_and_are_never_scanned(fa
 
 @pytest.mark.parametrize("duplicate", [lambda s: DenseState(s.dims, s.amps.copy()), copy.deepcopy])
 def test_a_product_with_a_callers_factor_is_scanned(duplicate):
-    # a caller's state, or a copy whose array is writeable again, lends no bound
-    state = duplicate(dense_avalanche(AvalancheParams(4, 0.6, 2), 2))
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
-        _assert_trusted(tensor_product(seeded_register(2), state))
-    assert [call.args[0].size for call in scan.call_args_list] == [64]
-    state.amps[3] = np.nan  # the state holds the caller's array itself
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        tensor_product(state, seeded_register(2))
+    # a caller's state, or a copy of one, carries a bound of its own, so the
+    # product scans nothing, and a later write into the array the caller
+    # built it from reaches neither
+    amps = dense_avalanche(AvalancheParams(4, 0.6, 2), 2).amps.copy()
+    state = duplicate(DenseState((2,) * 4, amps))
+    with counted_scans() as scan:
+        product = tensor_product(seeded_register(2), state)
+    assert scan.call_count == 0
+    _assert_trusted(product)
+    want = product.amps.tobytes()
+    amps[3] = np.nan
+    assert product.amps.tobytes() == want
 
 
 def test_a_product_whose_bound_overflows_is_scanned():
@@ -792,11 +836,20 @@ def test_a_product_whose_bound_overflows_is_scanned():
     big = apply_two_site_gate(DenseState((2, 2), random_state_vector(4, rng) * 1e150),
                               TwoSiteGate((0, 1), scattering_matrix(0.6)))
     _assert_trusted(big)
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
         product = tensor_product(big, big)
     assert scan.call_count == 1
-    assert not product.amps.flags.writeable and product._bound is None
+    assert not product.amps.flags.writeable and math.isinf(product._bound)
     assert np.all(np.isfinite(product.amps))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(factors=st.lists(package_built_states(), min_size=2, max_size=3))
+def test_no_package_built_state_can_be_made_writeable_again(factors):
+    # each holds a view of a read-only array, a product's an outer product's
+    for state in factors + [functools.reduce(tensor_product, factors)]:
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            state.amps.flags.writeable = True
 
 
 def _sum_of_squares_as_fraction(amps) -> Fraction:
@@ -833,6 +886,6 @@ def test_measurement_states_carry_a_bound_and_absorption_scans_nothing(h, phase,
     setup = MeasurementSetup(pol, delta, 0.6, a_h, a_v, 0)
     joint = initial_state(setup)
     _assert_trusted(joint)
-    with mock.patch.object(hilbert, "_sum_of_squares", wraps=hilbert._sum_of_squares) as scan:
+    with counted_scans() as scan:
         _assert_trusted(photoexcite(setup, joint))
     assert scan.call_count == 0

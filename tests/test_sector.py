@@ -297,6 +297,18 @@ def test_one_site_product_state_is_not_the_callers_vector():
     assert vec.tobytes() == PLUS.tobytes()
 
 
+def test_families_and_product_states_keep_read_only_copies():
+    # a write into the caller's vector after validation cannot undo the
+    # normalisation the constructor checked: the expectation stays 0.36
+    vec, ket = np.array([0.6, 0.8], dtype=np.complex128), KET0.copy()
+    family, state = ElementaryFamily((ket,)), ProductState((vec,))
+    vec[0] = 3.0
+    ket[:] = KET1
+    assert abs(sector_expectation(family, state) - 0.36) <= 1e-15
+    for held in family.phi + state.psi:
+        assert not held.flags.writeable
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     log_h=st.floats(min_value=-150.0, max_value=0.0),
